@@ -21,6 +21,10 @@ go build ./...
 echo "== test =="
 go test ./...
 
+echo "== schedule independence (tests whose outcome once depended on goroutine timing, 30 runs each) =="
+go test -count=30 -run 'TestPipelinedTargetedChaosMatchesFullParallel|TestArtifactCacheCounters' ./internal/pipeline/
+go test -count=30 -run 'TestRunTraceAndMetrics' ./cmd/smproc/
+
 echo "== bench smoke (every benchmark compiles and runs once) =="
 go test -bench . -benchtime=1x -run '^$' ./...
 

@@ -49,10 +49,9 @@
 // against the committed baselines like any other cell.
 // -cache selects the caching layers of every measured run: off, mem (the
 // default in-process memo), or disk[:dir] (the persistent action cache —
-// the cold-vs-warm ablation endpoint; see -ablations).  -no-artifact-cache
-// is the deprecated spelling of -cache=off (the cached-vs-uncached ablation
-// endpoint; outputs are byte-identical in every mode).  -storage selects the
-// storage plane for every
+// the cold-vs-warm ablation endpoint; see -ablations); off is the
+// cached-vs-uncached ablation endpoint, and outputs are byte-identical in
+// every mode.  -storage selects the storage plane for every
 // measured run: fs (default) or mem, the disk-vs-memory ablation endpoints;
 // the report's host block records the backend and, on mem, the peak
 // in-memory residency.  -compare runs no benchmarks: it diffs two
@@ -198,7 +197,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		smoke      = fs.Bool("smoke", false, "self-test mode: two tiny synthetic events instead of the paper's six")
 		chaos      = fs.Float64("chaos", 0, "fault-injection rate in [0,1] for the temp-folder protocol: measure the degraded mode")
 		chaosSeed  = fs.Int64("chaos-seed", 1, "seed for the deterministic fault injector")
-		noCache    = fs.Bool("no-artifact-cache", false, "deprecated alias of -cache=off")
 		cacheFlag  = fs.String("cache", "", "cache layers for every measured run: off, mem (default), or disk[:dir]")
 		storageNm  = fs.String("storage", "fs", "storage backend for every measured run: fs (plain filesystem) or mem (in-memory inter-stage files)")
 		streaming  = fs.Bool("stream", false, "run measured pipelined variants with the streaming execution plane")
@@ -248,17 +246,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	defer session.Close()
 	cfg := bench.Config{
-		Scale:           *scale,
-		Workers:         *workers,
-		Repeat:          *repeat,
-		Variants:        vs,
-		Observer:        session.Observer,
-		ChaosRate:       *chaos,
-		ChaosSeed:       *chaosSeed,
-		Cache:           cacheCfg,
-		NoArtifactCache: *noCache,
-		Storage:         backend,
-		Streaming:       *streaming,
+		Scale:     *scale,
+		Workers:   *workers,
+		Repeat:    *repeat,
+		Variants:  vs,
+		Observer:  session.Observer,
+		ChaosRate: *chaos,
+		ChaosSeed: *chaosSeed,
+		Cache:     cacheCfg,
+		Storage:   backend,
+		Streaming: *streaming,
 		Response: response.Config{
 			Method:  m,
 			Periods: response.LogPeriods(0.05, 10, *periods),

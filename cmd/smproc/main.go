@@ -37,7 +37,7 @@
 // the persistent content-addressed action cache under <dir>/.smcache or
 // the given directory, so a warm re-run redoes only changed records;
 // outputs are byte-identical in every mode — see README "The artifact
-// cache").  -no-artifact-cache is the deprecated spelling of -cache=off.
+// cache").
 // -storage selects the storage plane: fs (default, plain filesystem) or
 // mem (inter-stage files held in memory, final products materialized to
 // disk at the end of the run; outputs byte-identical — see README
@@ -147,7 +147,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		chaos        = fs.Float64("chaos", 0, "fault-injection rate in [0,1] for the temp-folder protocol (0 = off); failing records are retried, then quarantined")
 		chaosSeed    = fs.Int64("chaos-seed", 1, "seed for the deterministic fault injector (same seed = same faults)")
 		maxAttempts  = fs.Int("retries", 0, "max attempts per staging operation before quarantining the record (0 = default 3)")
-		noCache      = fs.Bool("no-artifact-cache", false, "deprecated alias of -cache=off")
 		cacheFlag    = fs.String("cache", "", "cache layers: off, mem (default), or disk[:dir] (persistent action cache; dir defaults to <workdir>/.smcache)")
 		cacheVerify  = fs.Bool("cache-verify", false, "re-hash every restored action-cache blob against its recorded checksum")
 		cacheMax     = fs.Int64("cache-max-bytes", 0, "action-cache size bound in bytes (0 = 256 MiB default, negative = unbounded)")
@@ -227,11 +226,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	opts := pipeline.Options{
-		Workers:         *workers,
-		EventWorkers:    *eventWorkers,
-		Cache:           cacheCfg,
-		NoArtifactCache: *noCache,
-		Storage:         backend,
+		Workers:      *workers,
+		EventWorkers: *eventWorkers,
+		Cache:        cacheCfg,
+		Storage:      backend,
 		Response: response.Config{
 			Method:  m,
 			Periods: response.LogPeriods(0.02, 20, *periods),

@@ -135,9 +135,9 @@ func TestRunVerbose(t *testing.T) {
 }
 
 // TestRunTraceAndMetrics is the acceptance check of the observability
-// layer's CLI wiring: -trace writes a span tree whose stage durations sum
-// to within 5% of the run total, and -metrics writes a Prometheus
-// exposition with the pipeline counters.
+// layer's CLI wiring: -trace writes a span tree whose stage durations, plus
+// the run's finalize epilogue, sum to within 5% of the run total, and
+// -metrics writes a Prometheus exposition with the pipeline counters.
 func TestRunTraceAndMetrics(t *testing.T) {
 	dir := makeWorkDir(t, 7)
 	tracePath := filepath.Join(t.TempDir(), "out.jsonl")
@@ -158,22 +158,34 @@ func TestRunTraceAndMetrics(t *testing.T) {
 	type line struct {
 		ID     int64  `json:"id"`
 		Parent int64  `json:"parent"`
+		Name   string `json:"name"`
 		Kind   string `json:"kind"`
 		DurUS  int64  `json:"dur_us"`
 	}
-	var runDur, stageSum int64
-	runs, stages := 0, 0
+	var lines []line
 	for _, raw := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
 		var l line
 		if err := json.Unmarshal(raw, &l); err != nil {
 			t.Fatalf("bad trace line %s: %v", raw, err)
 		}
+		lines = append(lines, l)
+	}
+	var runID, runDur, stageSum int64
+	runs, stages := 0, 0
+	for _, l := range lines {
 		switch l.Kind {
 		case "run":
 			runs++
-			runDur = l.DurUS
+			runID, runDur = l.ID, l.DurUS
 		case "stage":
 			stages++
+			stageSum += l.DurUS
+		}
+	}
+	finalized := false
+	for _, l := range lines {
+		if l.Kind == "task" && l.Name == "finalize" && l.Parent == runID {
+			finalized = true
 			stageSum += l.DurUS
 		}
 	}
@@ -182,6 +194,9 @@ func TestRunTraceAndMetrics(t *testing.T) {
 	}
 	if stages != pipeline.NumStages {
 		t.Fatalf("trace has %d stage spans, want %d", stages, pipeline.NumStages)
+	}
+	if !finalized {
+		t.Fatal("trace has no finalize span under the run span")
 	}
 	if runDur <= 0 {
 		t.Fatalf("run span duration %d", runDur)

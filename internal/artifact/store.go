@@ -77,20 +77,6 @@ func NewMemo(gen func(path string) (any, int64, bool)) *Store {
 	return &Store{entries: make(map[string]entry), gen: gen}
 }
 
-// NewStore returns an empty store using the filesystem generation.
-//
-// Deprecated: use NewMemo(nil); kept for the pre-CacheConfig API.
-func NewStore() *Store {
-	return NewMemo(nil)
-}
-
-// NewStoreWith returns an empty store using the given generation function.
-//
-// Deprecated: use NewMemo; kept for the pre-CacheConfig API.
-func NewStoreWith(gen func(path string) (any, int64, bool)) *Store {
-	return NewMemo(gen)
-}
-
 // statGen is the filesystem generation token: size plus content hash.  The
 // hash — not mtime — carries the coherence: filesystem mtime granularity can
 // alias two same-size rewrites landing within one clock tick, which a

@@ -20,7 +20,7 @@ func writeTemp(t *testing.T, dir, name, content string) string {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	p := writeTemp(t, t.TempDir(), "a.v2", "payload-a")
 	s.Put(p, []float64{1, 2, 3})
 	v, ok := Cached[[]float64](s, p)
@@ -33,7 +33,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestGetMissesUnknownPath(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	if _, ok := s.Get("/no/such/path"); ok {
 		t.Fatal("hit on never-stored path")
 	}
@@ -42,7 +42,7 @@ func TestGetMissesUnknownPath(t *testing.T) {
 // The core coherence contract: a file mutated on disk behind the store must
 // not be served from the stale entry.
 func TestMutationBehindStoreInvalidates(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	dir := t.TempDir()
 	p := writeTemp(t, dir, "a.v2", "original content")
 	s.Put(p, "decoded-original")
@@ -63,7 +63,7 @@ func TestMutationBehindStoreInvalidates(t *testing.T) {
 }
 
 func TestSameSizeMutationInvalidatesViaMtime(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	dir := t.TempDir()
 	p := writeTemp(t, dir, "a.v2", "12345678")
 	s.Put(p, "decoded")
@@ -87,7 +87,7 @@ func TestSameSizeMutationInvalidatesViaMtime(t *testing.T) {
 // folded into the generation the mtime is irrelevant — even a forced
 // identical timestamp must miss.
 func TestSameSizeSameMtimeMutationInvalidates(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	dir := t.TempDir()
 	p := writeTemp(t, dir, "a.v2", "12345678")
 	info, err := os.Stat(p)
@@ -109,7 +109,7 @@ func TestSameSizeSameMtimeMutationInvalidates(t *testing.T) {
 }
 
 func TestRemovedFileInvalidates(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	p := writeTemp(t, t.TempDir(), "a.v2", "x")
 	s.Put(p, "v")
 	if err := os.Remove(p); err != nil {
@@ -121,7 +121,7 @@ func TestRemovedFileInvalidates(t *testing.T) {
 }
 
 func TestRenameFollowsFile(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	dir := t.TempDir()
 	p := writeTemp(t, dir, "a.v2", "content")
 	s.Put(p, "decoded")
@@ -139,7 +139,7 @@ func TestRenameFollowsFile(t *testing.T) {
 }
 
 func TestRenameWithoutEntryDropsStaleDestination(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	dir := t.TempDir()
 	dst := writeTemp(t, dir, "dst.v2", "old destination")
 	s.Put(dst, "stale")
@@ -154,7 +154,7 @@ func TestRenameWithoutEntryDropsStaleDestination(t *testing.T) {
 }
 
 func TestCloneFollowsHardlink(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	dir := t.TempDir()
 	p := writeTemp(t, dir, "a.v2", "content")
 	s.Put(p, "decoded")
@@ -172,7 +172,7 @@ func TestCloneFollowsHardlink(t *testing.T) {
 }
 
 func TestInvalidateDir(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	dir := t.TempDir()
 	scratch := filepath.Join(dir, "tmp_def_00_SS01")
 	if err := os.MkdirAll(scratch, 0o755); err != nil {
@@ -218,7 +218,7 @@ func TestNilStoreIsInert(t *testing.T) {
 }
 
 func TestCachedTypeMismatchIsMiss(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	p := writeTemp(t, t.TempDir(), "a.v2", "x")
 	s.Put(p, "a string")
 	if _, ok := Cached[int](s, p); ok {
@@ -227,7 +227,7 @@ func TestCachedTypeMismatchIsMiss(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	o := obs.New()
 	hits := o.Counter("cache_hits_total")
 	misses := o.Counter("cache_misses_total")
@@ -250,7 +250,7 @@ func TestCounters(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	s := NewStore()
+	s := NewMemo(nil)
 	dir := t.TempDir()
 	paths := make([]string, 8)
 	for i := range paths {

@@ -131,14 +131,12 @@ func RunAblations(ctx context.Context, spec synth.EventSpec, cfg Config) (Ablati
 	}
 
 	// 4. Artifact cache on vs off.
-	cached := baseOpts
-	cached.NoArtifactCache = false
-	if res, err = runOnce(cached); err != nil {
+	if res, err = runOnce(baseOpts); err != nil {
 		return AblationResults{}, fmt.Errorf("bench: cached ablation: %w", err)
 	}
 	out.CachedTotal = res.Timings.Total
 	uncached := baseOpts
-	uncached.NoArtifactCache = true
+	uncached.Cache = pipeline.CacheConfig{Mode: pipeline.CacheOff}
 	if res, err = runOnce(uncached); err != nil {
 		return AblationResults{}, fmt.Errorf("bench: uncached ablation: %w", err)
 	}

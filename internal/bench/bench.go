@@ -79,9 +79,6 @@ type Config struct {
 	// On-disk outputs are byte-identical in every mode; only decode/copy
 	// work changes.
 	Cache pipeline.CacheConfig
-	// NoArtifactCache is the deprecated spelling of Cache.Mode == CacheOff,
-	// honored only while Cache is the zero value.
-	NoArtifactCache bool
 	// Storage selects the pipeline's storage backend for every run: the
 	// zero value (or "fs") is the plain filesystem, "mem" keeps inter-stage
 	// file bytes in memory and materializes only the final event products.
@@ -237,13 +234,12 @@ func RunEvent(ctx context.Context, spec synth.EventSpec, cfg Config) (EventResul
 	o.AddSink(col)
 	defer o.RemoveSink(col)
 	opts := pipeline.Options{
-		Workers:         cfg.Workers,
-		Response:        cfg.Response,
-		SimProcessors:   resolveSimProcessors(cfg.SimProcessors),
-		Observer:        o,
-		Cache:           cfg.Cache,
-		NoArtifactCache: cfg.NoArtifactCache,
-		Storage:         cfg.Storage,
+		Workers:       cfg.Workers,
+		Response:      cfg.Response,
+		SimProcessors: resolveSimProcessors(cfg.SimProcessors),
+		Observer:      o,
+		Cache:         cfg.Cache,
+		Storage:       cfg.Storage,
 	}
 	if cfg.ChaosRate > 0 {
 		opts.Chaos = &faults.Config{Seed: cfg.ChaosSeed, Rate: cfg.ChaosRate}

@@ -273,9 +273,6 @@ func NewReport(label string, cfg Config, results []EventResult, checks []string)
 		cs.Accumulate(r.Cache)
 	}
 	mode := cfg.Cache.Mode
-	if cfg.NoArtifactCache && cfg.Cache == (pipeline.CacheConfig{}) {
-		mode = pipeline.CacheOff // the deprecated spelling
-	}
 	rep := Report{
 		Label:     label,
 		CreatedAt: time.Now().UTC(),

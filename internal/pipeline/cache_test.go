@@ -14,7 +14,7 @@ import (
 
 // TestArtifactCacheAblationProducesIdenticalOutputs is the tentpole
 // invariant of the artifact store: with the cache on (default) and off
-// (NoArtifactCache), every variant writes byte-identical product files.
+// (Cache.Mode = CacheOff), every variant writes byte-identical product files.
 func TestArtifactCacheAblationProducesIdenticalOutputs(t *testing.T) {
 	ev := testEvent(t)
 	for _, v := range Variants {
@@ -24,7 +24,7 @@ func TestArtifactCacheAblationProducesIdenticalOutputs(t *testing.T) {
 			dirRef, _ := runVariant(t, ev, v, opts)
 			ref := productHashes(t, dirRef)
 
-			opts.NoArtifactCache = true
+			opts.Cache.Mode = CacheOff
 			dir, _ := runVariant(t, ev, v, opts)
 			got := productHashes(t, dir)
 			if len(got) != len(ref) {
@@ -62,7 +62,7 @@ func TestArtifactCacheCounters(t *testing.T) {
 	}
 
 	uncached := testOptions()
-	uncached.NoArtifactCache = true
+	uncached.Cache.Mode = CacheOff
 	uncached.Observer = obs.New()
 	_, _ = runVariant(t, ev, FullParallel, uncached)
 	if v := uncached.Observer.Counter("cache_hits_total").Value(); v != 0 {

@@ -15,8 +15,8 @@ const (
 	// in-process memo layer only.  Nothing outlives the run.
 	CacheMemory CacheMode = iota
 	// CacheOff disables both layers: every process re-reads and re-parses
-	// its file inputs and staging always copies bytes — the ablation the
-	// deprecated NoArtifactCache bool used to select.
+	// its file inputs and staging always copies bytes: the ablation
+	// endpoint.
 	CacheOff
 	// CachePersistent enables the memo layer plus the persistent
 	// content-addressed action cache: per-(record,process) dataflow nodes

@@ -14,6 +14,7 @@ import (
 
 	"accelproc/internal/faults"
 	"accelproc/internal/obs"
+	"accelproc/internal/smformat"
 	"accelproc/internal/storage"
 	"accelproc/internal/synth"
 )
@@ -68,12 +69,18 @@ func chaosProductHashes(t *testing.T, dir string) map[string]string {
 }
 
 // assertOnlyQuarantineDirs fails on any scratch dir leak: the only directory
-// a degraded run may leave behind is quarantine/, holding tmp_* folders.
-func assertOnlyQuarantineDirs(t *testing.T, dir string) {
+// a degraded run may leave behind is quarantine/, holding folders only — the
+// preserved tmp_* scratch folders and one product folder per quarantined
+// station.
+func assertOnlyQuarantineDirs(t *testing.T, dir string, res Result) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	condemned := map[string]bool{}
+	for _, q := range res.Quarantined {
+		condemned[q.Station] = true
 	}
 	for _, e := range entries {
 		if !e.IsDir() {
@@ -88,9 +95,57 @@ func assertOnlyQuarantineDirs(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 		for _, q := range sub {
-			if !q.IsDir() || !strings.HasPrefix(q.Name(), "tmp_") {
+			if !q.IsDir() || !(strings.HasPrefix(q.Name(), "tmp_") || condemned[q.Name()]) {
 				t.Errorf("unexpected quarantine entry %s", q.Name())
 			}
+		}
+	}
+}
+
+// assertQuarantinedProducts checks where a record condemned by the failed
+// process left its products: none in the work directory besides its input
+// V1, and under quarantine/<station>/ only products of processes the verdict
+// could not have stopped — processes not downstream of the failed one in the
+// artifact graph and, for the staged variants, in an earlier stage.  A node
+// that ran for the record after its verdict fails the check, even though the
+// end-of-run sweep moved its products out of the work directory.
+func assertQuarantinedProducts(t *testing.T, dir string, v Variant, st string, failed ProcessID) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), st) && e.Name() != smformat.V1FileName(st) {
+			t.Errorf("%v: product %s of quarantined %s left in the work directory", v, e.Name(), st)
+		}
+	}
+	cut := map[ProcessID]bool{failed: true}
+	for grew := true; grew; {
+		grew = false
+		for _, e := range DeriveArtifactEdges() {
+			if cut[e.From] && !cut[e.To] {
+				cut[e.To], grew = true, true
+			}
+		}
+	}
+	allowed := map[string]bool{}
+	for _, p := range Processes {
+		if p.Redundant || cut[p.ID] || (v != Pipelined && StageOf(p.ID) >= StageOf(failed)) {
+			continue
+		}
+		for _, name := range nodeOutputNames(p.ID, st) {
+			allowed[name] = true
+		}
+	}
+	products, err := os.ReadDir(filepath.Join(dir, QuarantineDir, st))
+	if err != nil {
+		t.Errorf("%v: products of %s not moved under %s/: %v", v, st, QuarantineDir, err)
+		return
+	}
+	for _, e := range products {
+		if !allowed[e.Name()] {
+			t.Errorf("%v: quarantined %s has product %s of a process its verdict should have stopped", v, st, e.Name())
 		}
 	}
 }
@@ -119,7 +174,7 @@ func TestChaosSoak(t *testing.T) {
 				if err != nil {
 					t.Fatalf("chaos run at rate %v failed outright: %v", rate, err)
 				}
-				assertOnlyQuarantineDirs(t, dir)
+				assertOnlyQuarantineDirs(t, dir, res)
 
 				quarantined := make(map[string]bool)
 				for _, q := range res.Quarantined {

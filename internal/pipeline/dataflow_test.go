@@ -80,10 +80,10 @@ func TestPipelinedIsDeterministic(t *testing.T) {
 
 // TestPipelinedTargetedChaosMatchesFullParallel poisons one record with a
 // deterministic rule and requires both scheduling disciplines to quarantine
-// exactly that record and produce byte-identical survivor products.  Rules
-// match (stage, record, op) rather than an operation sequence, so they hit
-// the same operation in both variants even though the dataflow executor
-// reorders the work.
+// exactly that record, leave none of its products in the work directory, and
+// produce byte-identical survivor products.  Rules match (stage, record, op)
+// rather than an operation sequence, so they hit the same operation in both
+// variants even though the dataflow executor reorders the work.
 func TestPipelinedTargetedChaosMatchesFullParallel(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -110,7 +110,8 @@ func TestPipelinedTargetedChaosMatchesFullParallel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: %v", v, err)
 				}
-				assertOnlyQuarantineDirs(t, dir)
+				assertOnlyQuarantineDirs(t, dir, res)
+				assertQuarantinedProducts(t, dir, v, tc.rule.Record, tc.proc)
 				return chaosProductHashes(t, dir), res
 			}
 			ref, resF := run(FullParallel)
@@ -163,7 +164,7 @@ func TestPipelinedRandomChaosSelfConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chaos run at rate %v failed outright: %v", rate, err)
 			}
-			assertOnlyQuarantineDirs(t, dir)
+			assertOnlyQuarantineDirs(t, dir, res)
 
 			quarantined := make(map[string]bool)
 			for _, q := range res.Quarantined {
@@ -204,17 +205,16 @@ func TestPipelinedSimulatedPlatform(t *testing.T) {
 
 	sim := opts
 	sim.SimProcessors = 8
-	dir, resPipe := runVariant(t, ev, Pipelined, sim)
+	dir, _ := runVariant(t, ev, Pipelined, sim)
 	got := productHashes(t, dir)
 	for name, h := range ref {
 		if got[name] != h {
 			t.Errorf("product %s differs on the simulated platform", name)
 		}
 	}
-	_, resSeq := runVariant(t, ev, SeqOriginal, sim)
-	if resPipe.Timings.Total >= resSeq.Timings.Total {
-		t.Errorf("simulated Pipelined %v >= SeqOriginal %v",
-			resPipe.Timings.Total, resSeq.Timings.Total)
+	pipe, seq := bestSimulatedTotals(t, ev, sim, Pipelined, SeqOriginal)
+	if pipe >= seq {
+		t.Errorf("simulated Pipelined %v >= SeqOriginal %v", pipe, seq)
 	}
 }
 

@@ -50,8 +50,8 @@ import (
 // Scheduling: critical-path-first with record size (NPTS, peeked from the V1
 // header) as the weight, so big records — the stragglers of the staged
 // schedule — enter the pool first.  Retry, quarantine, and chaos injection
-// work unchanged: the per-record staging bodies below mirror the temp-folder
-// protocol of tempfolder.go operation for operation, and a quarantined
+// work unchanged: the temp-folder nodes run the same per-record jobs as the
+// staged schedule (tempfolder.go), steps back to back, and a quarantined
 // record's downstream nodes complete as no-ops instead of poisoning the run.
 
 // dfNodeMeta locates a node in the process/stage taxonomy for timing
@@ -115,11 +115,7 @@ func (s *state) runPipelined() error {
 // fleet scheduler can run it as an event's admission-time Build phase on a
 // shared pool worker.
 func (s *state) preparePipelined() (*dfBuild, error) {
-	err := s.taskStage(StageI, s.opts.MetaWorkers, []taskSpec{
-		{PInitFlags, s.procInitFlags},
-		{PGatherInputs, s.procGatherInputs},
-	})
-	if err != nil {
+	if err := s.runStep(planStep{stage: StageI, strat: StratTask, procs: Stages[StageI-1].Processes}); err != nil {
 		return nil, err
 	}
 	stations, err := s.stations()
@@ -258,7 +254,7 @@ func (b *dfBuild) addProcess(pid ProcessID, in []ArtifactEdge) {
 		for _, e := range in {
 			deps = append(deps, b.producersOf(e)...)
 		}
-		b.global[pid] = b.add(pid, "", b.globalBody(pid), deps, nil)
+		b.global[pid] = b.add(pid, "", func() error { return b.s.procBody(nil, pid, StratSequential) }, deps, nil)
 		return
 	}
 	var recEdges, readEdges, writeEdges []ArtifactEdge
@@ -474,24 +470,6 @@ func dedupNodes(deps []dataflow.NodeID) []dataflow.NodeID {
 	return out
 }
 
-// globalBody returns the body of an event-global process node.
-func (b *dfBuild) globalBody(pid ProcessID) func() error {
-	s := b.s
-	switch pid {
-	case PInitFilterParams:
-		return s.procInitFilterParams
-	case PInitMetadata:
-		return s.procInitMetadata
-	case PInitFourierGraph:
-		return s.procInitFourierGraph
-	case PInitFlags2:
-		return s.procInitFlags
-	case PInitResponseGraph:
-		return s.procInitResponseGraph
-	}
-	panic(fmt.Sprintf("pipeline: no dataflow body for global process #%d", pid))
-}
-
 // recordBody returns the body of one process's node for station index i.
 func (b *dfBuild) recordBody(pid ProcessID, i int, st string) func() error {
 	s := b.s
@@ -502,21 +480,16 @@ func (b *dfBuild) recordBody(pid ProcessID, i int, st string) func() error {
 		}
 		return func() error { return s.separateStation(st) }
 	case PDefaultFilter:
-		return b.filterRecordBody(StageIV, PDefaultFilter, "def", b.fragsDef, i, st)
+		return b.filterRecordBody(PDefaultFilter, b.fragsDef, i, st)
 	case PFourier:
 		return func() error {
-			if b.streaming() {
+			switch {
+			case b.streaming():
 				return b.streamFourierRecord(i, st)
+			case s.opts.NoTempFolders:
+				return s.fourierRecord(s.dir, st)
 			}
-			if s.opts.NoTempFolders {
-				for _, comp := range seismic.Components {
-					if err := s.fourierSignal(smformat.V2FileName(st, comp)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			return s.fourierRecordViaTempFolder(i, st, b.exe)
+			return s.runTempJob(s.newTempJob(PFourier, i, st, b.exe))
 		}
 	case PPlotFourier:
 		return func() error { return s.plotFourierStation(st) }
@@ -535,7 +508,7 @@ func (b *dfBuild) recordBody(pid ProcessID, i int, st string) func() error {
 			return nil
 		}
 	case PCorrectedFilter:
-		return b.filterRecordBody(StageVIII, PCorrectedFilter, "cor", b.fragsCor, i, st)
+		return b.filterRecordBody(PCorrectedFilter, b.fragsCor, i, st)
 	case PPlotAccel:
 		return func() error { return s.plotAccelStation(st) }
 	case PResponseSpectrum:
@@ -570,8 +543,9 @@ func (b *dfBuild) recordBody(pid ProcessID, i int, st string) func() error {
 }
 
 // filterRecordBody builds the per-record body of processes #4 and #13,
-// storing the record's max-values fragment for the join node to merge.
-func (b *dfBuild) filterRecordBody(stage StageID, pid ProcessID, tag string, frags []smformat.MaxValues, i int, st string) func() error {
+// storing the record's max-values fragment for the join node to merge (a
+// quarantined record contributes none).
+func (b *dfBuild) filterRecordBody(pid ProcessID, frags []smformat.MaxValues, i int, st string) func() error {
 	s := b.s
 	return func() error {
 		var frag smformat.MaxValues
@@ -580,11 +554,13 @@ func (b *dfBuild) filterRecordBody(stage StageID, pid ProcessID, tag string, fra
 		case b.streaming():
 			frag, err = b.streamFilterRecord(pid, i, st)
 		case s.opts.NoTempFolders:
-			frag, err = s.filterRecordDirect(st)
+			frag, err = s.filterRecord(s.dir, st)
 		default:
-			frag, err = s.filterRecordViaTempFolder(stage, pid, tag, i, st, b.exe)
+			j := s.newTempJob(pid, i, st, b.exe)
+			err = s.runTempJob(j)
+			frag = j.peaks
 		}
-		if err != nil {
+		if err != nil || s.isQuarantined(st) {
 			return err
 		}
 		frags[i] = frag
@@ -618,263 +594,6 @@ func (b *dfBuild) joinBody(pid ProcessID) func() error {
 		}
 	}
 	panic(fmt.Sprintf("pipeline: no dataflow join body for process #%d", pid))
-}
-
-// writeMergedMaxValues merges per-record fragments (quarantined records
-// contribute an empty one) into the max-values metadata, exactly as step 3
-// of filterViaTempFolders does.
-func (s *state) writeMergedMaxValues(frags []smformat.MaxValues) error {
-	merged := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
-	for _, frag := range frags {
-		for k, v := range frag.Peaks {
-			merged.Peaks[k] = v
-		}
-	}
-	return smformat.WriteMaxValuesFileFS(s.ws, s.path(smformat.MaxValuesFile), merged)
-}
-
-// filterRecordDirect is the NoTempFolders body of one record of processes
-// #4/#13: the per-station slice of applyFilters.
-func (s *state) filterRecordDirect(st string) (smformat.MaxValues, error) {
-	params, err := s.readFilterParams(s.path(smformat.FilterParamsFile))
-	if err != nil {
-		return smformat.MaxValues{}, err
-	}
-	frag := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
-	for _, comp := range seismic.Components {
-		v1, err := s.readV1Comp(s.path(smformat.V1ComponentFileName(st, comp)))
-		if err != nil {
-			return smformat.MaxValues{}, err
-		}
-		key := smformat.SignalKey{Station: st, Component: comp}
-		v2, pk, err := s.correctSignal(v1, params.Spec(key))
-		if err != nil {
-			return smformat.MaxValues{}, err
-		}
-		if err := s.writeV2(s.path(smformat.V2FileName(st, comp)), v2); err != nil {
-			return smformat.MaxValues{}, err
-		}
-		frag.Peaks[key] = pk
-	}
-	return frag, nil
-}
-
-// filterRecordViaTempFolder runs the whole temp-folder protocol of processes
-// #4/#13 for one record: stage in, install the executable, execute, stage
-// out, clean up — the same operations, retry wrappers, and degradation rules
-// as filterViaTempFolders, but fused into one schedulable unit so no record
-// waits at a step barrier for its siblings.  A quarantined record returns an
-// empty fragment and nil.
-func (s *state) filterRecordViaTempFolder(stage StageID, pid ProcessID, tag string, idx int, st, exe string) (frag smformat.MaxValues, err error) {
-	dir := s.path(fmt.Sprintf("tmp_%s_%02d_%s", tag, idx, st))
-	rc := recordSite{stage: stage, proc: pid, tag: tag, station: st, scratch: dir}
-	fsys := s.fsAt(tag, st)
-	defer func() {
-		if err != nil {
-			s.removeScratchDirs([]string{dir})
-		}
-	}()
-
-	// Stage in: create the folder, copy the parameter file, move the V1
-	// components.
-	stageIn := func() error {
-		if err := s.retryOp(rc, "mkdir", func() error {
-			return fsys.MkdirAll(dir, 0o755)
-		}); err != nil {
-			return err
-		}
-		if err := s.retryOp(rc, "copy", func() error {
-			return s.copyArtifact(fsys, filepath.Join(dir, smformat.FilterParamsFile), s.path(smformat.FilterParamsFile), s.bytesIn)
-		}); err != nil {
-			return err
-		}
-		for _, comp := range seismic.Components {
-			name := smformat.V1ComponentFileName(st, comp)
-			if err := s.retryOp(rc, "move", func() error {
-				return s.moveArtifact(fsys, filepath.Join(dir, name), s.path(name), s.bytesIn)
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err = s.degraded(rc, stageIn()); err != nil || s.isQuarantined(st) {
-		return smformat.MaxValues{}, err
-	}
-	if err = s.cancelled(); err != nil {
-		return smformat.MaxValues{}, err
-	}
-
-	// Install the executable image (copied from the event-scoped master,
-	// which runPipelined created before the graph started).
-	err = s.degraded(rc, s.retryOp(rc, "copy", func() error {
-		return s.copyArtifact(fsys, filepath.Join(dir, exeImageName), exe, s.bytesIn)
-	}))
-	if err != nil || s.isQuarantined(st) {
-		return smformat.MaxValues{}, err
-	}
-	if err = s.cancelled(); err != nil {
-		return smformat.MaxValues{}, err
-	}
-
-	// Execute the program and stage the products (and the reusable V1
-	// inputs) back out.
-	execute := func() error {
-		out := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
-		err := s.retryOp(rc, "exec", func() error {
-			if err := s.chaos.Exec(tag, st); err != nil {
-				return err
-			}
-			params, err := s.readFilterParams(filepath.Join(dir, smformat.FilterParamsFile))
-			if err != nil {
-				return err
-			}
-			for _, comp := range seismic.Components {
-				v1, err := s.readV1Comp(filepath.Join(dir, smformat.V1ComponentFileName(st, comp)))
-				if err != nil {
-					return err
-				}
-				key := smformat.SignalKey{Station: st, Component: comp}
-				v2, pk, err := s.correctSignal(v1, params.Spec(key))
-				if err != nil {
-					return err
-				}
-				if err := s.writeV2(filepath.Join(dir, smformat.V2FileName(st, comp)), v2); err != nil {
-					return err
-				}
-				out.Peaks[key] = pk
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for _, comp := range seismic.Components {
-			v2name := smformat.V2FileName(st, comp)
-			if err := s.retryOp(rc, "move", func() error {
-				return s.moveArtifact(fsys, s.path(v2name), filepath.Join(dir, v2name), s.bytesOut)
-			}); err != nil {
-				return err
-			}
-			v1name := smformat.V1ComponentFileName(st, comp)
-			if err := s.retryOp(rc, "move", func() error {
-				return s.moveArtifact(fsys, s.path(v1name), filepath.Join(dir, v1name), s.bytesOut)
-			}); err != nil {
-				return err
-			}
-		}
-		frag = out
-		return nil
-	}
-	if err = s.degraded(rc, execute()); err != nil || s.isQuarantined(st) {
-		return smformat.MaxValues{}, err
-	}
-
-	// Clean up the scratch folder.
-	if !s.opts.KeepTempDirs {
-		s.removeScratch(fsys, dir)
-	}
-	return frag, nil
-}
-
-// fourierRecordViaTempFolder is the fused temp-folder protocol of process #7
-// for one record, mirroring fourierViaTempFolders operation for operation.
-func (s *state) fourierRecordViaTempFolder(idx int, st, exe string) (err error) {
-	const tag = "fou"
-	dir := s.path(fmt.Sprintf("tmp_fou_%02d_%s", idx, st))
-	rc := recordSite{stage: StageV, proc: PFourier, tag: tag, station: st, scratch: dir}
-	fsys := s.fsAt(tag, st)
-	defer func() {
-		if err != nil {
-			s.removeScratchDirs([]string{dir})
-		}
-	}()
-
-	// Stage in: create the folder and move the V2 inputs.
-	stageIn := func() error {
-		if err := s.retryOp(rc, "mkdir", func() error {
-			return fsys.MkdirAll(dir, 0o755)
-		}); err != nil {
-			return err
-		}
-		for _, comp := range seismic.Components {
-			name := smformat.V2FileName(st, comp)
-			if err := s.retryOp(rc, "move", func() error {
-				return s.moveArtifact(fsys, filepath.Join(dir, name), s.path(name), s.bytesIn)
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err = s.degraded(rc, stageIn()); err != nil || s.isQuarantined(st) {
-		return err
-	}
-	if err = s.cancelled(); err != nil {
-		return err
-	}
-
-	// Install the executable image.
-	err = s.degraded(rc, s.retryOp(rc, "copy", func() error {
-		return s.copyArtifact(fsys, filepath.Join(dir, exeImageName), exe, s.bytesIn)
-	}))
-	if err != nil || s.isQuarantined(st) {
-		return err
-	}
-	if err = s.cancelled(); err != nil {
-		return err
-	}
-
-	// Execute the transform and stage the F products (and the reusable V2
-	// inputs) back out.
-	execute := func() error {
-		err := s.retryOp(rc, "exec", func() error {
-			if err := s.chaos.Exec(tag, st); err != nil {
-				return err
-			}
-			for _, comp := range seismic.Components {
-				v2, err := s.readV2(filepath.Join(dir, smformat.V2FileName(st, comp)))
-				if err != nil {
-					return err
-				}
-				f, err := fourier.Spectra(v2)
-				if err != nil {
-					return err
-				}
-				if err := s.writeFourier(filepath.Join(dir, smformat.FourierFileName(v2.Station, v2.Component)), f); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for _, comp := range seismic.Components {
-			fname := smformat.FourierFileName(st, comp)
-			if err := s.retryOp(rc, "move", func() error {
-				return s.moveArtifact(fsys, s.path(fname), filepath.Join(dir, fname), s.bytesOut)
-			}); err != nil {
-				return err
-			}
-			v2name := smformat.V2FileName(st, comp)
-			if err := s.retryOp(rc, "move", func() error {
-				return s.moveArtifact(fsys, s.path(v2name), filepath.Join(dir, v2name), s.bytesOut)
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err = s.degraded(rc, execute()); err != nil || s.isQuarantined(st) {
-		return err
-	}
-
-	// Clean up the scratch folder.
-	if !s.opts.KeepTempDirs {
-		s.removeScratch(fsys, dir)
-	}
-	return nil
 }
 
 // recordWeights estimates each record's size so the scheduler starts the

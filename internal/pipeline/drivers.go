@@ -47,14 +47,8 @@ func Run(ctx context.Context, dir string, variant Variant, opts Options) (Result
 	s.initJournal(variant)
 	start := s.now()
 	switch variant {
-	case SeqOriginal:
-		err = s.runSequential(true)
-	case SeqOptimized:
-		err = s.runSequential(false)
-	case PartialParallel:
-		err = s.runStaged(false)
-	case FullParallel:
-		err = s.runStaged(true)
+	case SeqOriginal, SeqOptimized, PartialParallel, FullParallel:
+		err = s.runStaged(variant)
 	case Pipelined:
 		err = s.runPipelined()
 	default:
@@ -68,18 +62,30 @@ func Run(ctx context.Context, dir string, variant Variant, opts Options) (Result
 // assemble the Result.  Shared by Run and the fleet scheduler, whose
 // per-event Finish phase ends here on a pool worker.
 func (s *state) finishRun(variant Variant, start time.Duration, err error) (Result, error) {
+	var stations []string
 	if err == nil {
-		// Flush the storage backend's in-memory state (a no-op on the fs
-		// backend) so the work directory holds the complete, byte-identical
-		// event products.  Charged inside the total: materialization is part
-		// of what the mem backend costs, and the disk-vs-memory ablation
-		// must not credit it for deferring the writes.
-		err = s.ws.Materialize(s.dir)
-	}
-	if err == nil {
-		// The run is durably complete: mark the journal finished so a later
-		// -resume knows there is nothing to replay.
-		s.journal.finish()
+		// The epilogue gets its own span under the run span, so the run's
+		// children cover all of its time.
+		err = s.timedTask(s.runSpan, "finalize", func() error {
+			if err := s.quarantineProducts(); err != nil {
+				return err
+			}
+			// Flush the storage backend's in-memory state (a no-op on the fs
+			// backend) so the work directory holds the complete,
+			// byte-identical event products.  Charged inside the total:
+			// materialization is part of what the mem backend costs, and the
+			// disk-vs-memory ablation must not credit it for deferring the
+			// writes.
+			if err := s.ws.Materialize(s.dir); err != nil {
+				return err
+			}
+			// The run is durably complete: mark the journal finished so a
+			// later -resume knows there is nothing to replay.
+			s.journal.finish()
+			live, err := s.stations()
+			stations = live
+			return err
+		})
 	}
 	// On the simulated platform s.virt carries the (negative) difference
 	// between serial execution and the simulated parallel makespans.
@@ -89,11 +95,6 @@ func (s *state) finishRun(variant Variant, start time.Duration, err error) (Resu
 		return Result{}, err
 	}
 	s.tim.Total = total
-	stations, err := s.stations()
-	if err != nil {
-		s.runSpan.EndCharged(total, obs.String("error", err.Error()))
-		return Result{}, err
-	}
 	// One corrected component record per (station, component) pair; only
 	// surviving stations count — quarantined ones are reported separately.
 	s.records.Add(float64(3 * len(stations)))
@@ -122,242 +123,159 @@ func (s *state) finishRun(variant Variant, start time.Duration, err error) (Resu
 	}, nil
 }
 
-// runSequential executes the original (or optimized) strictly sequential
-// chain: the 20 (or 17) processes in their Figure 5 order, one after the
-// other, every inner loop serial.  Stage timings are attributed via the
-// reordered schedule's stage map so sequential and parallel runs can be
-// compared stage by stage.
-func (s *state) runSequential(withRedundant bool) error {
-	type step struct {
-		id  ProcessID
-		run func() error
-	}
-	steps := []step{
-		{PInitFlags, s.procInitFlags},
-		{PGatherInputs, s.procGatherInputs},
-		{PInitFilterParams, s.procInitFilterParams},
-		{PSeparateComponents, func() error { return s.procSeparateComponents(1) }},
-		{PDefaultFilter, func() error { return s.applyFilters(1) }},
-		{PInitMetadata, s.procInitMetadata},
-		{PPlotUncorrected, s.procPlotUncorrected}, // redundant
-		{PFourier, func() error { return s.procFourier(1) }},
-		{PInitFourierGraph, s.procInitFourierGraph},
-		{PPlotFourier, s.procPlotFourier},
-		{PPickCorners, func() error { return s.procPickCorners(1) }},
-		{PInitFlags2, s.procInitFlags},
-		{PSeparateComps2, func() error { return s.procSeparateComponents(1) }}, // redundant
-		{PCorrectedFilter, func() error { return s.applyFilters(1) }},
-		{PInitMetadata2, s.procInitMetadata}, // redundant
-		{PPlotAccel, s.procPlotAccel},
-		{PResponseSpectrum, func() error { return s.procResponseSpectrum(1) }},
-		{PInitResponseGraph, s.procInitResponseGraph},
-		{PPlotResponse, s.procPlotResponse},
-		{PGenerateGEM, func() error { return s.procGenerateGEM(1) }},
-	}
-	for _, st := range steps {
-		if !withRedundant && Processes[st.id].Redundant {
-			continue
-		}
-		stage := StageOf(st.id)
-		run := func() error { return s.timed(st.id, st.run) }
-		if stage != 0 {
-			if err := s.timedStage(stage, run); err != nil {
-				return err
+// planStep is one entry of a staged plan: a stage's processes and the strategy
+// that runs them.  Stage 0 marks a redundant process of the original chain,
+// which runs outside every stage of the reordered schedule.
+type planStep struct {
+	stage StageID
+	strat Strategy
+	procs []ProcessID
+}
+
+// planOf derives a staged variant's plan from the process and stage tables.
+// The sequential variants walk Processes in chain order (SeqOptimized skips
+// the Redundant ones), one sequential step per process, attributed to the
+// process's stage of the reordered schedule so sequential and parallel runs
+// compare stage by stage.  The parallel variants walk Stages with their
+// Partial or Full strategy column (paper Fig. 9).
+func planOf(variant Variant) []planStep {
+	var plan []planStep
+	switch variant {
+	case SeqOriginal, SeqOptimized:
+		for _, p := range Processes {
+			if variant == SeqOptimized && p.Redundant {
+				continue
 			}
-		} else if err := run(); err != nil {
+			plan = append(plan, planStep{stage: StageOf(p.ID), strat: StratSequential, procs: []ProcessID{p.ID}})
+		}
+	case PartialParallel, FullParallel:
+		for _, st := range Stages {
+			strat := st.Partial
+			if variant == FullParallel {
+				strat = st.Full
+			}
+			plan = append(plan, planStep{stage: st.ID, strat: strat, procs: st.Processes})
+		}
+	}
+	return plan
+}
+
+// runStaged executes a staged variant's plan step by step, with a barrier
+// after every step.
+func (s *state) runStaged(variant Variant) error {
+	for _, st := range planOf(variant) {
+		if err := s.runStep(st); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runStaged executes the reordered 11-stage schedule (paper Fig. 9).  With
-// full=false it applies the partial-parallelization strategies (stages I,
-// II, VI, X, XI parallel); with full=true the full-parallelization
-// strategies (every stage except VII parallel, including the temp-folder
-// protocol for stages IV, V, and VIII).
-func (s *state) runStaged(full bool) error {
-	w := s.opts.Workers
-	mw := s.opts.MetaWorkers
-	strategyOf := func(id StageID) Strategy {
-		info := Stages[id-1]
-		if full {
-			return info.Full
+// runStep runs one plan step inside its stage span: a task stage as an
+// OpenMP-style task group, any other stage's processes one after the other.
+func (s *state) runStep(st planStep) error {
+	run := func() error {
+		if st.strat == StratTask {
+			return s.runTasks(s.opts.MetaWorkers, st.procs)
 		}
-		return info.Partial
-	}
-	loopWorkers := func(id StageID) int {
-		if strategyOf(id) == StratSequential {
-			return 1
-		}
-		return w
-	}
-	taskWorkers := func(id StageID) int {
-		if strategyOf(id) == StratSequential {
-			return 1
-		}
-		return mw
-	}
-
-	// Stage I: processes #0 and #1 as tasks.
-	err := s.taskStage(StageI, taskWorkers(StageI), []taskSpec{
-		{PInitFlags, s.procInitFlags},
-		{PGatherInputs, s.procGatherInputs},
-	})
-	if err != nil {
-		return err
-	}
-
-	// Stage II: the four metadata initializers as tasks.
-	err = s.taskStage(StageII, taskWorkers(StageII), []taskSpec{
-		{PInitFilterParams, s.procInitFilterParams},
-		{PInitMetadata, s.procInitMetadata},
-		{PInitFourierGraph, s.procInitFourierGraph},
-		{PInitResponseGraph, s.procInitResponseGraph},
-	})
-	if err != nil {
-		return err
-	}
-
-	// Stage III: separate components (parallel station loop when full).
-	err = s.timedStage(StageIII, func() error {
-		return s.timed(PSeparateComponents, func() error {
-			return s.procSeparateComponents(loopWorkers(StageIII))
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	// Stage IV: default filters (temp-folder protocol when full).
-	err = s.timedStage(StageIV, func() error {
-		return s.timedProc(PDefaultFilter, func(sp *obs.Span) error {
-			if strategyOf(StageIV) == StratTempFolder {
-				if s.opts.NoTempFolders {
-					return s.applyFilters(w)
-				}
-				return s.filterViaTempFolders(sp, StageIV, PDefaultFilter, "def", w)
-			}
-			return s.applyFilters(1)
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	// Stage V: Fourier transformation (temp-folder protocol when full).
-	err = s.timedStage(StageV, func() error {
-		return s.timedProc(PFourier, func(sp *obs.Span) error {
-			if strategyOf(StageV) == StratTempFolder {
-				if s.opts.NoTempFolders {
-					return s.procFourier(w)
-				}
-				return s.fourierViaTempFolders(sp, w)
-			}
-			return s.procFourier(1)
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	// Stage VI: FPL/FSL picking, parallel over the three components.
-	err = s.timedStage(StageVI, func() error {
-		return s.timed(PPickCorners, func() error {
-			cw := 1
-			if strategyOf(StageVI) == StratLoop {
-				cw = 3
-			}
-			return s.procPickCorners(cw)
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	// Stage VII: the trivial second flag initialization, never parallel.
-	err = s.timedStage(StageVII, func() error {
-		return s.timed(PInitFlags2, s.procInitFlags)
-	})
-	if err != nil {
-		return err
-	}
-
-	// Stage VIII: definitive correction with the picked corners.
-	err = s.timedStage(StageVIII, func() error {
-		return s.timedProc(PCorrectedFilter, func(sp *obs.Span) error {
-			if strategyOf(StageVIII) == StratTempFolder {
-				if s.opts.NoTempFolders {
-					return s.applyFilters(w)
-				}
-				return s.filterViaTempFolders(sp, StageVIII, PCorrectedFilter, "cor", w)
-			}
-			return s.applyFilters(1)
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	// Stage IX: response spectra (parallel component-file loop when full).
-	err = s.timedStage(StageIX, func() error {
-		return s.timed(PResponseSpectrum, func() error {
-			return s.procResponseSpectrum(loopWorkers(StageIX))
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	// Stage X: GEM generation (parallel in both parallel variants).
-	err = s.timedStage(StageX, func() error {
-		return s.timed(PGenerateGEM, func() error {
-			return s.procGenerateGEM(loopWorkers(StageX))
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	// Stage XI: the three plotting processes as tasks.
-	return s.taskStage(StageXI, taskWorkers(StageXI), []taskSpec{
-		{PPlotFourier, s.procPlotFourier},
-		{PPlotAccel, s.procPlotAccel},
-		{PPlotResponse, s.procPlotResponse},
-	})
-}
-
-// taskSpec pairs a process with its body for a task-parallel stage.
-type taskSpec struct {
-	id ProcessID
-	fn func() error
-}
-
-// taskStage runs the given processes as an OpenMP-style task group.  On the
-// real platform the tasks run as bounded goroutines and the stage time is
-// their joint wall time; on the simulated platform they run serially with
-// per-task measurement and the stage is charged the task-group makespan.
-func (s *state) taskStage(id StageID, workers int, tasks []taskSpec) error {
-	if !s.simulated() || workers == 1 {
-		return s.timedStage(id, func() error {
-			fns := make([]func() error, 0, len(tasks))
-			for _, t := range tasks {
-				t := t
-				fns = append(fns, func() error { return s.timed(t.id, t.fn) })
-			}
-			return parallel.RunTasksMonitored(workers, s.monitor(), fns...)
-		})
-	}
-	return s.timedStage(id, func() error {
-		durs := make([]time.Duration, len(tasks))
-		for i, t := range tasks {
-			before := s.tim.Process[t.id]
-			if err := s.timed(t.id, t.fn); err != nil {
+		for _, id := range st.procs {
+			if err := s.runProcess(id, st.strat); err != nil {
 				return err
 			}
-			durs[i] = s.tim.Process[t.id] - before
 		}
-		s.virt += simsched.Makespan(durs, workers, s.opts.ContentionCPU) - simsched.Sum(durs)
 		return nil
-	})
+	}
+	if st.stage == 0 {
+		return run()
+	}
+	return s.timedStage(st.stage, run)
+}
+
+// runTasks runs the given processes as a task group.  On the real platform
+// the tasks run as bounded goroutines and the stage time is their joint wall
+// time; on the simulated platform they run serially with per-task
+// measurement and the stage is charged the task-group makespan.
+func (s *state) runTasks(workers int, ids []ProcessID) error {
+	if !s.simulated() || workers == 1 {
+		fns := make([]func() error, len(ids))
+		for i, id := range ids {
+			fns[i] = func() error { return s.runProcess(id, StratTask) }
+		}
+		return parallel.RunTasksMonitored(workers, s.monitor(), fns...)
+	}
+	durs := make([]time.Duration, len(ids))
+	for i, id := range ids {
+		before := s.tim.Process[id]
+		if err := s.runProcess(id, StratTask); err != nil {
+			return err
+		}
+		durs[i] = s.tim.Process[id] - before
+	}
+	s.virt += simsched.Makespan(durs, workers, s.opts.ContentionCPU) - simsched.Sum(durs)
+	return nil
+}
+
+// runProcess runs one process under its process span.
+func (s *state) runProcess(id ProcessID, strat Strategy) error {
+	return s.timedProc(id, func(sp *obs.Span) error { return s.procBody(sp, id, strat) })
+}
+
+// procBody is the body switch every event-global process and every staged
+// process runs through.  The strategy sets the worker budget of the
+// process's inner loop: 1 unless its stage parallelizes the loop, and for
+// #4, #7 and #13 whether the temp-folder protocol runs (unless the
+// NoTempFolders ablation replaces it with a direct loop).  Temp-folder steps
+// report task spans under sp.
+func (s *state) procBody(sp *obs.Span, id ProcessID, strat Strategy) error {
+	w := 1
+	if strat == StratLoop || strat == StratTempFolder {
+		w = s.opts.Workers
+	}
+	tempFolder := strat == StratTempFolder && !s.opts.NoTempFolders
+	switch id {
+	case PInitFlags, PInitFlags2:
+		return s.procInitFlags()
+	case PGatherInputs:
+		return s.procGatherInputs()
+	case PInitFilterParams:
+		return s.procInitFilterParams()
+	case PSeparateComponents, PSeparateComps2:
+		return s.procSeparateComponents(w)
+	case PDefaultFilter, PCorrectedFilter:
+		if tempFolder {
+			return s.tempFolderStage(sp, id, w)
+		}
+		return s.applyFilters(w)
+	case PInitMetadata, PInitMetadata2:
+		return s.procInitMetadata()
+	case PPlotUncorrected:
+		return s.procPlotUncorrected()
+	case PFourier:
+		if tempFolder {
+			return s.tempFolderStage(sp, id, w)
+		}
+		return s.procFourier(w)
+	case PInitFourierGraph:
+		return s.procInitFourierGraph()
+	case PPlotFourier:
+		return s.procPlotFourier()
+	case PPickCorners:
+		// The parallel loop of paper §V-B runs over a station's three
+		// components, whatever the worker budget.
+		if strat == StratLoop {
+			w = 3
+		}
+		return s.procPickCorners(w)
+	case PPlotAccel:
+		return s.procPlotAccel()
+	case PResponseSpectrum:
+		return s.procResponseSpectrum(w)
+	case PInitResponseGraph:
+		return s.procInitResponseGraph()
+	case PPlotResponse:
+		return s.procPlotResponse()
+	case PGenerateGEM:
+		return s.procGenerateGEM(w)
+	}
+	panic(fmt.Sprintf("pipeline: no body for process #%d", id))
 }

@@ -272,6 +272,56 @@ func TestQCGateQuarantinesTypedReasons(t *testing.T) {
 	}
 }
 
+// TestMetadataListsDoNotDependOnSchedule runs one event with a QC-rejected
+// record through every variant and the fleet scheduler.  The metadata files
+// must be byte-identical whether the record's verdict landed before the
+// list-writing processes ran (the sequential chain decodes first) or after
+// (the reordered schedule writes the lists in stage II).
+func TestMetadataListsDoNotDependOnSchedule(t *testing.T) {
+	ev := testEvent(t)
+	opts := testOptions()
+	opts.QC = ingest.DefaultQC()
+	var ref map[string]string
+	check := func(name, dir string, res Result) {
+		t.Helper()
+		if len(res.Quarantined) != 1 {
+			t.Fatalf("%s: quarantined %+v, want the one rejected record", name, res.Quarantined)
+		}
+		got := map[string]string{}
+		for file, h := range productHashes(t, dir) {
+			if strings.HasSuffix(file, ".meta") {
+				got[file] = h
+			}
+		}
+		if ref == nil {
+			ref = got
+			return
+		}
+		if len(got) != len(ref) {
+			t.Errorf("%s: %d metadata files, want %d", name, len(got), len(ref))
+		}
+		for file, h := range ref {
+			if got[file] != h {
+				t.Errorf("%s: metadata %s differs from %v", name, file, Variants[0])
+			}
+		}
+	}
+	for _, v := range Variants {
+		dir := defectDir(t, ev, "clip")
+		res, err := Run(context.Background(), dir, v, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		check(v.String(), dir, res)
+	}
+	dir := defectDir(t, ev, "clip")
+	results, err := RunFleet(context.Background(), []string{dir}, FleetOptions{Options: opts})
+	if err != nil && !errors.Is(err, ingest.ErrReject) {
+		t.Fatalf("fleet: %v", err)
+	}
+	check("fleet", dir, results[0].Result)
+}
+
 // TestAzimuthRotationMatchesNativeProducts: a record encoded in a rotated
 // sensor frame with its azimuth declared must produce the same products as
 // the same motion encoded north-aligned — rotation is applied at decode,

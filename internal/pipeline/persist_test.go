@@ -258,19 +258,3 @@ func TestParseCacheFlag(t *testing.T) {
 		}
 	}
 }
-
-// TestNoArtifactCacheShim pins the deprecated bool's behavior: it maps to
-// CacheOff only while the typed config is untouched.
-func TestNoArtifactCacheShim(t *testing.T) {
-	o := Options{NoArtifactCache: true}.withDefaults()
-	if o.Cache.Mode != CacheOff {
-		t.Errorf("NoArtifactCache alone: mode = %v, want off", o.Cache.Mode)
-	}
-	o = Options{NoArtifactCache: true, Cache: CacheConfig{Mode: CachePersistent}}.withDefaults()
-	if o.Cache.Mode != CachePersistent {
-		t.Errorf("typed config must win over the deprecated bool, got %v", o.Cache.Mode)
-	}
-	if o := (Options{}).withDefaults(); o.Cache.Mode != CacheMemory {
-		t.Errorf("zero options: mode = %v, want memory", o.Cache.Mode)
-	}
-}

@@ -377,13 +377,6 @@ type Options struct {
 	// every mode; only redundant decode/copy/recompute work changes.
 	Cache CacheConfig
 
-	// NoArtifactCache disables both cache layers.
-	//
-	// Deprecated: set Cache.Mode = CacheOff.  The bool is kept as a shim
-	// for the pre-CacheConfig API and the -no-artifact-cache flag; it is
-	// honored only when Cache is the zero value.
-	NoArtifactCache bool
-
 	// Journal maintains a write-ahead run journal under <dir>/.smrun: one
 	// fsync'd record per durability point (run start, each completed
 	// per-record dataflow node, each quarantine verdict, run finish), so a
@@ -452,10 +445,6 @@ func (o Options) withDefaults() Options {
 		// Streamed stages run direct bodies: chunks flow producer→consumer,
 		// not through per-instance scratch folders.
 		o.NoTempFolders = true
-	}
-	if o.NoArtifactCache && o.Cache == (CacheConfig{}) {
-		// Deprecated-shim mapping: the old bool spelled "no caching at all".
-		o.Cache.Mode = CacheOff
 	}
 	if o.TaperFraction == 0 {
 		o.TaperFraction = 0.05

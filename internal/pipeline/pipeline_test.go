@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"accelproc/internal/dsp"
 	"accelproc/internal/obs"
@@ -409,6 +411,51 @@ func TestRerunInUsedDirectoryIsStable(t *testing.T) {
 	}
 }
 
+// vanishingWS deletes one file right after every listing, as a concurrent
+// stage-I task does when it renames its temp file into place between
+// process #1's listing and its sniff of the listed names.
+type vanishingWS struct {
+	storage.Workspace
+	victim string
+}
+
+func (w vanishingWS) List(dir string) ([]fs.DirEntry, error) {
+	entries, err := w.Workspace.List(dir)
+	os.Remove(w.victim) // checked by the test
+	return entries, err
+}
+
+func TestGatherInputsSkipsVanishedEntries(t *testing.T) {
+	ev := testEvent(t)
+	dir := filepath.Join(t.TempDir(), "work")
+	if err := PrepareWorkDir(dir, ev); err != nil {
+		t.Fatal(err)
+	}
+	victim := filepath.Join(dir, smformat.FlagsFile+".tmp")
+	if err := os.WriteFile(victim, []byte("flag00=0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := newState(context.Background(), dir, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.fail(nil)
+	s.ws = vanishingWS{s.ws, victim}
+	if err := s.procGatherInputs(); err != nil {
+		t.Fatalf("gather failed on an entry that vanished after the listing: %v", err)
+	}
+	if _, err := os.Stat(victim); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the listed temp file did not vanish: %v", err)
+	}
+	stations, err := s.stations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stations) != len(ev.Records) {
+		t.Errorf("gathered stations %v, want %d", stations, len(ev.Records))
+	}
+}
+
 func TestPrepareWorkDirRejectsInvalidEvent(t *testing.T) {
 	if err := PrepareWorkDir(t.TempDir(), seismic.Event{Name: "x", Records: []seismic.Record{{}}}); err == nil {
 		t.Error("invalid event accepted")
@@ -515,20 +562,42 @@ func TestSimulatedPlatformPreservesOutputsAndShrinksParallelTime(t *testing.T) {
 
 	sim := opts
 	sim.SimProcessors = 8
-	dir, resPar := runVariant(t, ev, FullParallel, sim)
+	dir, _ := runVariant(t, ev, FullParallel, sim)
 	got := productHashes(t, dir)
 	for name, h := range ref {
 		if got[name] != h {
 			t.Errorf("product %s differs on the simulated platform", name)
 		}
 	}
-	_, resSeq := runVariant(t, ev, SeqOriginal, sim)
 	// On the simulated 8-processor machine the parallel variant must be
 	// charged less total time than the sequential one.
-	if resPar.Timings.Total >= resSeq.Timings.Total {
-		t.Errorf("simulated FullParallel %v >= SeqOriginal %v",
-			resPar.Timings.Total, resSeq.Timings.Total)
+	par, seq := bestSimulatedTotals(t, ev, sim, FullParallel, SeqOriginal)
+	if par >= seq {
+		t.Errorf("simulated FullParallel %v >= SeqOriginal %v", par, seq)
 	}
+}
+
+// bestSimulatedTotals runs variants a and b five times each, alternating
+// which goes first, and returns each one's smallest charged total.  Like
+// Table I's best of five, it keeps host noise in the CPU-clock measurement
+// of this tiny event from deciding a comparison between variants: one
+// run's spread, and the host's slow phases, exceed the gap between them.
+func bestSimulatedTotals(t *testing.T, ev seismic.Event, opts Options, a, b Variant) (time.Duration, time.Duration) {
+	t.Helper()
+	best := map[Variant]time.Duration{}
+	for i := 0; i < 5; i++ {
+		order := []Variant{a, b}
+		if i%2 == 1 {
+			order = []Variant{b, a}
+		}
+		for _, v := range order {
+			_, res := runVariant(t, ev, v, opts)
+			if d, ok := best[v]; !ok || res.Timings.Total < d {
+				best[v] = res.Timings.Total
+			}
+		}
+	}
+	return best[a], best[b]
 }
 
 func TestOptionsWithDefaults(t *testing.T) {
@@ -637,13 +706,15 @@ func TestInstrumentCorrectionOption(t *testing.T) {
 
 func TestObserverEmitsProcessSpans(t *testing.T) {
 	ev := testEvent(t)
+	var recs []obs.SpanRecord
 	runTraced := func(v Variant) map[ProcessID]int {
 		col := &obs.Collector{}
 		opts := testOptions()
 		opts.Observer = obs.New(col)
 		_, _ = runVariant(t, ev, v, opts)
+		recs = col.Records()
 		got := map[ProcessID]int{}
-		for _, rec := range col.Records() {
+		for _, rec := range recs {
 			if rec.Kind != obs.KindProcess {
 				continue
 			}
@@ -676,6 +747,34 @@ func TestObserverEmitsProcessSpans(t *testing.T) {
 		}
 		if got[id] != want {
 			t.Errorf("full-parallel: process #%d emitted %d spans, want %d", id, got[id], want)
+		}
+	}
+
+	// Full-parallel runs exactly one span per stage, and each temp-folder
+	// process reports the protocol's four steps as task spans under it.
+	stages := 0
+	procOf := map[int64]ProcessID{}
+	for _, rec := range recs {
+		switch rec.Kind {
+		case obs.KindStage:
+			stages++
+		case obs.KindProcess:
+			id, _ := rec.IntAttr("process")
+			procOf[rec.ID] = ProcessID(id)
+		}
+	}
+	if stages != NumStages {
+		t.Errorf("full-parallel: %d stage spans, want %d", stages, NumStages)
+	}
+	steps := map[ProcessID][]string{}
+	for _, rec := range recs {
+		if id, ok := procOf[rec.Parent]; ok && rec.Kind == obs.KindTask {
+			steps[id] = append(steps[id], rec.Name)
+		}
+	}
+	for _, id := range []ProcessID{PDefaultFilter, PFourier, PCorrectedFilter} {
+		if got, want := strings.Join(steps[id], ","), "stage-in,install-exe,execute,cleanup"; got != want {
+			t.Errorf("full-parallel: process #%d task spans %q, want %q", id, got, want)
 		}
 	}
 }

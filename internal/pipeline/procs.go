@@ -3,9 +3,12 @@ package pipeline
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"path"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -55,6 +58,11 @@ func (s *state) procGatherInputs() error {
 		}
 		name := e.Name()
 		prefix, err := sniffHead(s.ws, s.path(name))
+		if errors.Is(err, fs.ErrNotExist) {
+			// Renamed away since the listing: the temp file of a metadata
+			// write that a concurrent stage-I task just completed.
+			continue
+		}
 		if err != nil {
 			return err
 		}
@@ -174,11 +182,47 @@ func (s *state) correctSignal(v1 smformat.V1Component, spec dsp.BandPassSpec) (s
 	return v2, peaks, nil
 }
 
-// applyFilters is the shared driver of processes #4 (default corners) and
+// filterSignal band-pass corrects one component's V1 file in dir into its
+// V2 file there and returns its peaks: the per-signal unit of processes #4
+// and #13.
+func (s *state) filterSignal(dir string, key smformat.SignalKey, spec dsp.BandPassSpec) (seismic.PeakValues, error) {
+	v1, err := s.readV1Comp(filepath.Join(dir, smformat.V1ComponentFileName(key.Station, key.Component)))
+	if err != nil {
+		return seismic.PeakValues{}, err
+	}
+	v2, pk, err := s.correctSignal(v1, spec)
+	if err != nil {
+		return seismic.PeakValues{}, err
+	}
+	return pk, s.writeV2(filepath.Join(dir, smformat.V2FileName(key.Station, key.Component)), v2)
+}
+
+// filterRecord corrects one record's three components inside dir — the
+// work directory, or a temp-folder job's scratch folder — with the corners
+// of dir's filter-params file, and returns the record's max-values
+// fragment: the per-record unit of processes #4 and #13.
+func (s *state) filterRecord(dir, st string) (smformat.MaxValues, error) {
+	params, err := s.readFilterParams(filepath.Join(dir, smformat.FilterParamsFile))
+	if err != nil {
+		return smformat.MaxValues{}, err
+	}
+	frag := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
+	for _, comp := range seismic.Components {
+		key := smformat.SignalKey{Station: st, Component: comp}
+		pk, err := s.filterSignal(dir, key, params.Spec(key))
+		if err != nil {
+			return smformat.MaxValues{}, err
+		}
+		frag.Peaks[key] = pk
+	}
+	return frag, nil
+}
+
+// applyFilters is the direct driver of processes #4 (default corners) and
 // #13 (per-signal corners from the Fourier analysis): filter all 3N
 // component signals, write <s><c>.v2 files, and write the max-values
 // metadata.  Parallelization across signals is controlled by workers; the
-// temp-folder variant lives in tempfolder.go.
+// temp-folder protocol lives in tempfolder.go.
 func (s *state) applyFilters(workers int) error {
 	stations, err := s.stations()
 	if err != nil {
@@ -191,17 +235,9 @@ func (s *state) applyFilters(workers int) error {
 	keys := signals(stations)
 	peaks := make([]seismic.PeakValues, len(keys))
 	err = s.parFor(len(keys), workers, CostHeavyIO, func(i int) error {
-		key := keys[i]
-		v1, err := s.readV1Comp(s.path(smformat.V1ComponentFileName(key.Station, key.Component)))
-		if err != nil {
-			return err
-		}
-		v2, pk, err := s.correctSignal(v1, params.Spec(key))
-		if err != nil {
-			return err
-		}
-		peaks[i] = pk
-		return s.writeV2(s.path(smformat.V2FileName(key.Station, key.Component)), v2)
+		var err error
+		peaks[i], err = s.filterSignal(s.dir, keys[i], params.Spec(keys[i]))
+		return err
 	})
 	if err != nil {
 		return err
@@ -214,9 +250,12 @@ func (s *state) applyFilters(workers int) error {
 }
 
 // procInitMetadata is process #5 (and #14): derive the acc-graph, fourier,
-// and response file lists from the v1list.
+// and response file lists from the v1list.  The metadata processes list
+// every gathered record, quarantined or not, so their lists do not depend
+// on how far the schedule got before a verdict; the list consumers drop
+// quarantined records themselves (liveFiles).
 func (s *state) procInitMetadata() error {
-	stations, err := s.stations()
+	stations, err := s.recordStations()
 	if err != nil {
 		return err
 	}
@@ -280,14 +319,14 @@ func (s *state) procFourier(workers int) error {
 	// The list was written before stage IV ran; drop quarantined records.
 	files := s.liveFiles(list.Files)
 	return s.parFor(len(files), workers, CostHeavyIO, func(i int) error {
-		return s.fourierSignal(files[i])
+		return s.fourierSignal(s.dir, files[i])
 	})
 }
 
-// fourierSignal computes and writes the Fourier spectra of one corrected
-// component file: the per-signal unit of process #7.
-func (s *state) fourierSignal(name string) error {
-	v2, err := s.readV2(s.path(name))
+// fourierSignal computes the Fourier spectra of one corrected component
+// file in dir and writes them there: the per-signal unit of process #7.
+func (s *state) fourierSignal(dir, name string) error {
+	v2, err := s.readV2(filepath.Join(dir, name))
 	if err != nil {
 		return err
 	}
@@ -295,12 +334,23 @@ func (s *state) fourierSignal(name string) error {
 	if err != nil {
 		return err
 	}
-	return s.writeFourier(s.path(smformat.FourierFileName(v2.Station, v2.Component)), f)
+	return s.writeFourier(filepath.Join(dir, smformat.FourierFileName(v2.Station, v2.Component)), f)
+}
+
+// fourierRecord transforms one record's three components inside dir: the
+// per-record unit of process #7.
+func (s *state) fourierRecord(dir, st string) error {
+	for _, comp := range seismic.Components {
+		if err := s.fourierSignal(dir, smformat.V2FileName(st, comp)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // procInitFourierGraph is process #8: the fourier-graph file list.
 func (s *state) procInitFourierGraph() error {
-	stations, err := s.stations()
+	stations, err := s.recordStations()
 	if err != nil {
 		return err
 	}
@@ -448,7 +498,7 @@ func (s *state) responseSignal(name string) error {
 
 // procInitResponseGraph is process #17: the response-graph file list.
 func (s *state) procInitResponseGraph() error {
-	stations, err := s.stations()
+	stations, err := s.recordStations()
 	if err != nil {
 		return err
 	}

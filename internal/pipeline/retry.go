@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -236,6 +237,49 @@ func (s *state) quarantine(rc recordSite, serr *StageError) {
 	// Journal the verdict: a resumed run inherits it instead of re-burning
 	// the retry budget on a record already known bad.
 	s.journal.quarantined(outcome)
+}
+
+// quarantineProducts moves every per-record product a quarantined record
+// published before its verdict out of the work directory into
+// quarantine/<station>/, so no schedule leaves a condemned record's products
+// among the event's.  The moves go through the undecorated workspace, like
+// quarantine's, and land before Materialize flushes the event to disk.
+func (s *state) quarantineProducts() error {
+	for _, q := range s.quarantinedOutcomes() {
+		qdir := filepath.Join(s.path(QuarantineDir), q.Station)
+		for _, name := range recordProducts(q.Station) {
+			src := s.path(name)
+			if _, err := s.ws.Stat(src); errors.Is(err, fs.ErrNotExist) {
+				continue
+			} else if err != nil {
+				return err
+			}
+			if err := s.ws.MkdirAll(qdir, 0o755); err != nil {
+				return err
+			}
+			s.arts.Invalidate(src)
+			if err := s.ws.Rename(src, filepath.Join(qdir, name)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// recordProducts lists the work-directory files the per-record processes
+// write for one station, each once.
+func recordProducts(st string) []string {
+	seen := map[string]bool{}
+	var names []string
+	for _, p := range Processes {
+		for _, name := range nodeOutputNames(p.ID, st) {
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
+		}
+	}
+	return names
 }
 
 // isQuarantined reports whether the station has been condemned this run.

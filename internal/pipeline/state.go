@@ -291,19 +291,14 @@ func (s *state) fsAt(tag, station string) faults.FS {
 // path resolves a file name inside the work directory.
 func (s *state) path(name string) string { return filepath.Join(s.dir, name) }
 
-// timed runs one process body and records its (virtual) time: the wall time
-// plus any corrections the simulated platform charged during the body.  A
-// process span is opened under the current stage span (or the run span when
-// the process runs outside any stage) and ended with the charged duration,
-// so trace trees agree with Result.Timings.  Each process boundary is a
-// cancellation point.
-func (s *state) timed(id ProcessID, body func() error) error {
-	return s.timedProc(id, func(*obs.Span) error { return body() })
-}
-
-// timedProc is timed for bodies that open child task spans (the temp-folder
-// staging steps): the process span is passed in explicitly rather than kept
+// timedProc runs one process body and records its (virtual) time: the wall
+// time plus any corrections the simulated platform charged during the body.
+// A process span is opened under the current stage span (or the run span
+// when the process runs outside any stage) and ended with the charged
+// duration, so trace trees agree with Result.Timings.  The span is passed to
+// the body for its child task spans (the temp-folder steps) rather than kept
 // on state, because task-parallel stages time several processes at once.
+// Each process boundary is a cancellation point.
 func (s *state) timedProc(id ProcessID, body func(sp *obs.Span) error) error {
 	if err := s.cancelled(); err != nil {
 		return err
@@ -399,29 +394,41 @@ func (s *state) inputFileOf(st string) (string, error) {
 	return name, nil
 }
 
-// stations reads the gathered input list (the product of process #1) and
-// returns the station codes in sorted order, excluding records condemned to
-// quarantine — downstream processes see only the survivors.
-func (s *state) stations() ([]string, error) {
+// recordStations reads the gathered input list (the product of process #1)
+// and returns every station code in sorted order, quarantined or not.
+func (s *state) recordStations() ([]string, error) {
 	m, err := s.inputsByStation()
 	if err != nil {
 		return nil, err
 	}
 	stations := make([]string, 0, len(m))
 	for st := range m {
-		if s.isQuarantined(st) {
-			continue
-		}
 		stations = append(stations, st)
 	}
 	sort.Strings(stations)
 	return stations, nil
 }
 
+// stations is recordStations without the records condemned to quarantine:
+// downstream processes see only the survivors.
+func (s *state) stations() ([]string, error) {
+	all, err := s.recordStations()
+	if err != nil {
+		return nil, err
+	}
+	live := all[:0]
+	for _, st := range all {
+		if !s.isQuarantined(st) {
+			live = append(live, st)
+		}
+	}
+	return live, nil
+}
+
 // liveFiles filters a metadata file list down to the entries of surviving
-// records.  The lists are written by the stage-II initializers before any
-// record can be quarantined, so the list-driven processes (#7, #16) must
-// drop the per-component files of condemned stations.
+// records.  The lists name every gathered record, so the list-driven
+// processes (#7, #16) must drop the per-component files of condemned
+// stations.
 func (s *state) liveFiles(names []string) []string {
 	s.quarMu.Lock()
 	qs := make([]string, 0, len(s.quarantinedSet))

@@ -62,7 +62,7 @@ func TestMemBackendMatchesWithCacheDisabled(t *testing.T) {
 	ref := productHashes(t, dirRef)
 
 	opts.Storage = storage.BackendMem
-	opts.NoArtifactCache = true
+	opts.Cache.Mode = CacheOff
 	dir, _ := runVariant(t, ev, FullParallel, opts)
 	got := productHashes(t, dir)
 	if len(got) != len(ref) {
@@ -226,7 +226,9 @@ func TestPipelinedQuarantineCacheInteraction(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/cache=%v", backend, !noCache), func(t *testing.T) {
 				opts := testOptions()
 				opts.Storage = backend
-				opts.NoArtifactCache = noCache
+				if noCache {
+					opts.Cache.Mode = CacheOff
+				}
 				opts.Observer = obs.New()
 				opts.Retry = RetryPolicy{BaseDelay: 50 * time.Microsecond, MaxDelay: time.Millisecond}
 				opts.Chaos = &faults.Config{Seed: 7, Rules: []faults.Rule{
@@ -243,7 +245,7 @@ func TestPipelinedQuarantineCacheInteraction(t *testing.T) {
 				if len(res.Quarantined) != 1 || res.Quarantined[0].Station != "SS02" {
 					t.Fatalf("quarantined = %+v, want exactly SS02", res.Quarantined)
 				}
-				assertOnlyQuarantineDirs(t, dir)
+				assertOnlyQuarantineDirs(t, dir, res)
 				got := chaosProductHashes(t, dir)
 				for name, h := range cleanHashes {
 					if strings.HasSuffix(name, ".meta") || strings.HasPrefix(name, "SS02") {
@@ -253,16 +255,12 @@ func TestPipelinedQuarantineCacheInteraction(t *testing.T) {
 						t.Errorf("survivor product %s differs from fault-free run", name)
 					}
 				}
-				// The record failed at stage VIII (corrected filter), so its
-				// stage IV/V products (default-filter V2, Fourier) were already
-				// published — but nothing downstream of the quarantine may
-				// exist: no response spectra and no GEM exports for SS02.
-				for name := range got {
-					if strings.HasPrefix(name, "SS02") &&
-						(strings.HasSuffix(name, ".r") || strings.Contains(name, "gem")) {
-						t.Errorf("quarantined record leaked post-failure product %s", name)
-					}
-				}
+				// The record failed at stage VIII (corrected filter): nothing
+				// downstream of the quarantine may exist — no response spectra,
+				// GEM exports or accelerogram and response plots for SS02,
+				// neither in the work directory nor among the leftovers swept
+				// into quarantine/SS02/.
+				assertQuarantinedProducts(t, dir, Pipelined, "SS02", PCorrectedFilter)
 			})
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"syscall"
 
 	"accelproc/internal/faults"
-	"accelproc/internal/fourier"
 	"accelproc/internal/obs"
 	"accelproc/internal/seismic"
 	"accelproc/internal/smformat"
@@ -19,16 +18,22 @@ import (
 // them concurrently, each inside its own scratch folder, staging input
 // files in and output files back out.
 //
-// The protocol is reproduced faithfully, including its costs:
+// The protocol is written once, as a per-record job (tempJob) of four
+// steps:
 //
-//  1. a parallel loop creates the per-instance folders and copies the
-//     parameter file and input data files into them;
-//  2. a *sequential* loop installs the program executable into each folder
-//     (the paper runs this step sequentially "to avoid races" on the
-//     single executable image);
-//  3. a parallel loop runs the program in each folder and copies the
-//     products back to the work directory;
-//  4. a parallel loop deletes the leftover scratch folders.
+//  1. stage-in: create the scratch folder, copy in the files every instance
+//     needs its own copy of, and move the record's input files in;
+//  2. install-exe: copy the program executable into the folder;
+//  3. execute: run the program inside the folder and move its products
+//     (and the inputs later stages reuse) back to the work directory;
+//  4. cleanup: delete the scratch folder.
+//
+// Processes #4, #7 and #13 all run it.  FullParallel runs each step over
+// every record with a barrier after it (tempFolderStage) — the install step
+// as a *sequential* loop, as the paper does "to avoid races" on the single
+// executable image — and reports one task span per step.  Pipelined runs
+// one record's four steps back to back as a dataflow node (runTempJob), so
+// no record waits at a step barrier for its siblings.
 //
 // The "executable" is a simulated binary image: the Go implementations
 // stand in for the Fortran programs, but the staging I/O — the real cost
@@ -42,8 +47,7 @@ import (
 // quarantined — its scratch folder preserved under <dir>/quarantine/ — so
 // the event completes with the surviving records.
 //
-// Each step reports a task span under the owning process span, and the
-// bytes moved across the scratch-folder boundary feed the
+// The bytes moved across the scratch-folder boundary feed the
 // bytes_staged_in_total / bytes_staged_out_total counters.  If any step
 // fails (including cancellation), the scratch folders are removed before
 // returning unless Options.KeepTempDirs asks for them.
@@ -157,11 +161,148 @@ func (s *state) removeScratchDirs(dirs []string) {
 	}
 }
 
-// filterViaTempFolders is the temp-folder variant of processes #4 and #13
-// (the paper's ParallelizeCorrection): one instance per station, three
-// component signals per instance.  proc is the owning process span; the
-// four protocol steps report task spans under it.
-func (s *state) filterViaTempFolders(proc *obs.Span, stage StageID, pid ProcessID, tag string, workers int) (err error) {
+// tempJob is one record's instance of the temp-folder protocol.
+type tempJob struct {
+	rc      recordSite // rc.scratch is the job's scratch folder
+	fsys    faults.FS
+	exe     string   // the event's executable image, installed by step 2
+	copyIn  []string // work-directory files every instance needs a copy of
+	moveIn  []string // the record's input files
+	moveOut []string // the products, and the inputs later stages reuse
+	exec    func(dir string) error
+	// peaks is the record's max-values fragment (processes #4 and #13).
+	peaks smformat.MaxValues
+}
+
+// tempTags are the fault injector's stage tags of the temp-folder processes.
+var tempTags = map[ProcessID]string{PDefaultFilter: "def", PFourier: "fou", PCorrectedFilter: "cor"}
+
+// newTempJob builds the job of temp-folder process pid for station st, the
+// idx-th surviving record.  The filter programs (#4, #13) take a copy of
+// the parameter file and the three V1 components, and return the V2
+// products; the Fourier program (#7) takes the three V2 files and returns
+// the F products.  The inputs move back out with the products: the chain
+// never modifies them — the rationale for dropping process #12 — and later
+// stages reuse them.
+func (s *state) newTempJob(pid ProcessID, idx int, st, exe string) *tempJob {
+	tag := tempTags[pid]
+	dir := s.path(fmt.Sprintf("tmp_%s_%02d_%s", tag, idx, st))
+	j := &tempJob{
+		rc:   recordSite{stage: StageOf(pid), proc: pid, tag: tag, station: st, scratch: dir},
+		fsys: s.fsAt(tag, st),
+		exe:  exe,
+	}
+	for _, comp := range seismic.Components {
+		v1, v2 := smformat.V1ComponentFileName(st, comp), smformat.V2FileName(st, comp)
+		if pid == PFourier {
+			j.moveIn = append(j.moveIn, v2)
+			j.moveOut = append(j.moveOut, smformat.FourierFileName(st, comp), v2)
+		} else {
+			j.moveIn = append(j.moveIn, v1)
+			j.moveOut = append(j.moveOut, v2, v1)
+		}
+	}
+	if pid == PFourier {
+		j.exec = func(dir string) error { return s.fourierRecord(dir, st) }
+	} else {
+		j.copyIn = []string{smformat.FilterParamsFile}
+		j.exec = func(dir string) (err error) {
+			j.peaks, err = s.filterRecord(dir, st)
+			return err
+		}
+	}
+	return j
+}
+
+// tempStep is one step of the protocol, named by its task span.  A record
+// failure inside a step quarantines the record (the step returns nil);
+// only run-level failures are returned.  A sequential step runs as a
+// sequential loop over the records under FullParallel.
+type tempStep struct {
+	name       string
+	sequential bool
+	run        func(*state, *tempJob) error
+}
+
+// tempSteps returns the protocol's steps in order; KeepTempDirs drops the
+// cleanup.
+func (s *state) tempSteps() []tempStep {
+	steps := []tempStep{
+		{"stage-in", false, (*state).jobStageIn},
+		{"install-exe", true, (*state).jobInstall},
+		{"execute", false, (*state).jobExecute},
+		{"cleanup", false, (*state).jobCleanup},
+	}
+	if s.opts.KeepTempDirs {
+		steps = steps[:3]
+	}
+	return steps
+}
+
+func (s *state) jobStageIn(j *tempJob) error {
+	dir := j.rc.scratch
+	err := s.retryOp(j.rc, "mkdir", func() error { return j.fsys.MkdirAll(dir, 0o755) })
+	if err == nil {
+		err = s.transfer(j, "copy", j.copyIn, s.dir, dir, s.bytesIn)
+	}
+	if err == nil {
+		err = s.transfer(j, "move", j.moveIn, s.dir, dir, s.bytesIn)
+	}
+	return s.degraded(j.rc, err)
+}
+
+func (s *state) jobInstall(j *tempJob) error {
+	return s.degraded(j.rc, s.retryOp(j.rc, "copy", func() error {
+		return s.copyArtifact(j.fsys, filepath.Join(j.rc.scratch, exeImageName), j.exe, s.bytesIn)
+	}))
+}
+
+func (s *state) jobExecute(j *tempJob) error {
+	// The whole program run is one retryable unit: a crashed instance is
+	// re-run from its staged inputs, which the protocol leaves untouched
+	// inside the scratch folder.
+	err := s.retryOp(j.rc, "exec", func() error {
+		if err := s.chaos.Exec(j.rc.tag, j.rc.station); err != nil {
+			return err
+		}
+		return j.exec(j.rc.scratch)
+	})
+	if err == nil {
+		err = s.transfer(j, "move", j.moveOut, j.rc.scratch, s.dir, s.bytesOut)
+	}
+	return s.degraded(j.rc, err)
+}
+
+func (s *state) jobCleanup(j *tempJob) error {
+	s.removeScratch(j.fsys, j.rc.scratch)
+	return nil
+}
+
+// transfer stages the named files from one folder to the other, op being
+// "copy" or "move", retrying each operation and stopping at the first that
+// fails for good.
+func (s *state) transfer(j *tempJob, op string, names []string, from, to string, c *obs.Counter) error {
+	for _, name := range names {
+		src, dst := filepath.Join(from, name), filepath.Join(to, name)
+		err := s.retryOp(j.rc, op, func() error {
+			if op == "copy" {
+				return s.copyArtifact(j.fsys, dst, src, c)
+			}
+			return s.moveArtifact(j.fsys, dst, src, c)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tempFolderStage is FullParallel's process #4, #7 or #13 (the paper's
+// ParallelizeCorrection and ParallelizeFourier): one job per surviving
+// station, each protocol step a barrier-separated loop over the jobs
+// reported as a task span under proc.  The filter processes then merge the
+// records' fragments into the max-values metadata.
+func (s *state) tempFolderStage(proc *obs.Span, pid ProcessID, workers int) (err error) {
 	stations, err := s.stations()
 	if err != nil {
 		return err
@@ -170,328 +311,85 @@ func (s *state) filterViaTempFolders(proc *obs.Span, stage StageID, pid ProcessI
 	if err != nil {
 		return err
 	}
-	n := len(stations)
-	dirs := make([]string, n)
-	rcs := make([]recordSite, n)
+	jobs := make([]*tempJob, len(stations))
+	dirs := make([]string, len(stations))
 	for i, st := range stations {
-		dirs[i] = s.path(fmt.Sprintf("tmp_%s_%02d_%s", tag, i, st))
-		rcs[i] = recordSite{stage: stage, proc: pid, tag: tag, station: st, scratch: dirs[i]}
+		jobs[i] = s.newTempJob(pid, i, st, exe)
+		dirs[i] = jobs[i].rc.scratch
 	}
 	defer func() {
 		if err != nil {
 			s.removeScratchDirs(dirs)
 		}
 	}()
-
-	// Step 1 (parallel): create folders, stage the parameter file (copied:
-	// every instance needs it) and move the input V1 components in, as the
-	// paper's pseudocode does ("Move 10*i+3*j+k <s><comp>.v1 file").
-	err = s.timedTask(proc, "stage-in", func() error {
-		return s.parFor(n, workers, CostHeavyIO, func(i int) error {
-			rc := rcs[i]
-			fsys := s.fsAt(tag, rc.station)
-			stageIn := func() error {
-				if err := s.retryOp(rc, "mkdir", func() error {
-					return fsys.MkdirAll(dirs[i], 0o755)
-				}); err != nil {
-					return err
-				}
-				if err := s.retryOp(rc, "copy", func() error {
-					return s.copyArtifact(fsys, filepath.Join(dirs[i], smformat.FilterParamsFile), s.path(smformat.FilterParamsFile), s.bytesIn)
-				}); err != nil {
-					return err
-				}
-				for _, comp := range seismic.Components {
-					name := smformat.V1ComponentFileName(rc.station, comp)
-					if err := s.retryOp(rc, "move", func() error {
-						return s.moveArtifact(fsys, filepath.Join(dirs[i], name), s.path(name), s.bytesIn)
-					}); err != nil {
-						return err
-					}
-				}
+	for _, step := range s.tempSteps() {
+		run := func(i int) error {
+			if s.isQuarantined(jobs[i].rc.station) {
 				return nil
 			}
-			return s.degraded(rc, stageIn())
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	// Step 2 (sequential, as in the paper, to avoid races on the image).
-	err = s.timedTask(proc, "install-exe", func() error {
-		for i := 0; i < n; i++ {
-			if err := s.cancelled(); err != nil {
-				return err
-			}
-			rc := rcs[i]
-			if s.isQuarantined(rc.station) {
-				continue
-			}
-			fsys := s.fsAt(tag, rc.station)
-			err := s.retryOp(rc, "copy", func() error {
-				return s.copyArtifact(fsys, filepath.Join(dirs[i], exeImageName), exe, s.bytesIn)
-			})
-			if err := s.degraded(rc, err); err != nil {
-				return err
-			}
+			return step.run(s, jobs[i])
 		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Step 3 (parallel): run the program inside each folder, stage the V2
-	// products and a max-values fragment back out.
-	fragments := make([]smformat.MaxValues, n)
-	// The per-instance work is dominated by reading/writing the large V1/V2
-	// text payloads, not by the filter arithmetic, so it contends like I/O
-	// (the paper observes 1.9x-2.0x for these stages on 8 cores).
-	err = s.timedTask(proc, "execute", func() error {
-		return s.parFor(n, workers, CostHeavyIO, func(i int) error {
-			rc := rcs[i]
-			st := rc.station
-			if s.isQuarantined(st) {
-				return nil
+		err = s.timedTask(proc, step.name, func() error {
+			if !step.sequential {
+				// The per-instance work is dominated by reading and writing
+				// the large V1/V2 text payloads, not by the arithmetic, so it
+				// contends like I/O (the paper observes 1.9x-2.0x for these
+				// stages on 8 cores).
+				return s.parFor(len(jobs), workers, CostHeavyIO, run)
 			}
-			fsys := s.fsAt(tag, st)
-			execute := func() error {
-				// The whole program run is one retryable unit: a crashed
-				// instance is re-run from its staged inputs, which the
-				// protocol leaves untouched inside the scratch folder.
-				frag := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
-				err := s.retryOp(rc, "exec", func() error {
-					if err := s.chaos.Exec(tag, st); err != nil {
-						return err
-					}
-					params, err := s.readFilterParams(filepath.Join(dirs[i], smformat.FilterParamsFile))
-					if err != nil {
-						return err
-					}
-					for _, comp := range seismic.Components {
-						v1, err := s.readV1Comp(filepath.Join(dirs[i], smformat.V1ComponentFileName(st, comp)))
-						if err != nil {
-							return err
-						}
-						key := smformat.SignalKey{Station: st, Component: comp}
-						v2, pk, err := s.correctSignal(v1, params.Spec(key))
-						if err != nil {
-							return err
-						}
-						if err := s.writeV2(filepath.Join(dirs[i], smformat.V2FileName(st, comp)), v2); err != nil {
-							return err
-						}
-						frag.Peaks[key] = pk
-					}
-					return nil
-				})
-				if err != nil {
+			for i := range jobs {
+				if err := s.cancelled(); err != nil {
 					return err
 				}
-				// Move the products back to the work directory, and the V1
-				// inputs with them (the chain never modifies V1 components —
-				// the rationale for dropping process #12 — so they must
-				// survive for the later stages that reuse them).
-				for _, comp := range seismic.Components {
-					v2name := smformat.V2FileName(st, comp)
-					if err := s.retryOp(rc, "move", func() error {
-						return s.moveArtifact(fsys, s.path(v2name), filepath.Join(dirs[i], v2name), s.bytesOut)
-					}); err != nil {
-						return err
-					}
-					v1name := smformat.V1ComponentFileName(st, comp)
-					if err := s.retryOp(rc, "move", func() error {
-						return s.moveArtifact(fsys, s.path(v1name), filepath.Join(dirs[i], v1name), s.bytesOut)
-					}); err != nil {
-						return err
-					}
+				if err := run(i); err != nil {
+					return err
 				}
-				fragments[i] = frag
-				return nil
 			}
-			return s.degraded(rc, execute())
+			return nil
 		})
-	})
-	if err != nil {
-		return err
+		if err != nil {
+			return err
+		}
 	}
+	if pid == PFourier {
+		return nil
+	}
+	frags := make([]smformat.MaxValues, len(jobs))
+	for i, j := range jobs {
+		if !s.isQuarantined(j.rc.station) {
+			frags[i] = j.peaks
+		}
+	}
+	return s.writeMergedMaxValues(frags)
+}
 
-	// Merge fragments deterministically into the max-values metadata
-	// (quarantined records contribute no fragment).
+// runTempJob is Pipelined's body of one record of process #4, #7 or #13:
+// the job's steps back to back, stopping once the record is quarantined.
+func (s *state) runTempJob(j *tempJob) (err error) {
+	defer func() {
+		if err != nil {
+			s.removeScratchDirs([]string{j.rc.scratch})
+		}
+	}()
+	for _, step := range s.tempSteps() {
+		if err = s.cancelled(); err != nil {
+			return err
+		}
+		if err = step.run(s, j); err != nil || s.isQuarantined(j.rc.station) {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeMergedMaxValues merges per-record fragments (quarantined records
+// contribute an empty one) into the max-values metadata.
+func (s *state) writeMergedMaxValues(frags []smformat.MaxValues) error {
 	merged := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
-	for _, frag := range fragments {
+	for _, frag := range frags {
 		for k, v := range frag.Peaks {
 			merged.Peaks[k] = v
 		}
 	}
-	if err := smformat.WriteMaxValuesFileFS(s.ws, s.path(smformat.MaxValuesFile), merged); err != nil {
-		return err
-	}
-
-	// Step 4 (parallel): delete the scratch folders (quarantined ones have
-	// already been moved under <dir>/quarantine).
-	if s.opts.KeepTempDirs {
-		return nil
-	}
-	return s.timedTask(proc, "cleanup", func() error {
-		return s.parFor(n, workers, CostHeavyIO, func(i int) error {
-			if s.isQuarantined(rcs[i].station) {
-				return nil
-			}
-			s.removeScratch(s.fsAt(tag, rcs[i].station), dirs[i])
-			return nil
-		})
-	})
-}
-
-// fourierViaTempFolders is the temp-folder variant of process #7 (the
-// paper's ParallelizeFourier): one instance per station, transforming the
-// station's three component V2 files inside its scratch folder.
-func (s *state) fourierViaTempFolders(proc *obs.Span, workers int) (err error) {
-	const tag = "fou"
-	stations, err := s.stations()
-	if err != nil {
-		return err
-	}
-	exe, err := s.ensureExeImage()
-	if err != nil {
-		return err
-	}
-	n := len(stations)
-	dirs := make([]string, n)
-	rcs := make([]recordSite, n)
-	for i, st := range stations {
-		dirs[i] = s.path(fmt.Sprintf("tmp_fou_%02d_%s", i, st))
-		rcs[i] = recordSite{stage: StageV, proc: PFourier, tag: tag, station: st, scratch: dirs[i]}
-	}
-	defer func() {
-		if err != nil {
-			s.removeScratchDirs(dirs)
-		}
-	}()
-
-	// Step 1 (parallel): create folders and move the V2 inputs in
-	// (the paper's pseudocode: "Move 3*i+1 <s><comp>.v2 file").
-	err = s.timedTask(proc, "stage-in", func() error {
-		return s.parFor(n, workers, CostHeavyIO, func(i int) error {
-			rc := rcs[i]
-			fsys := s.fsAt(tag, rc.station)
-			stageIn := func() error {
-				if err := s.retryOp(rc, "mkdir", func() error {
-					return fsys.MkdirAll(dirs[i], 0o755)
-				}); err != nil {
-					return err
-				}
-				for _, comp := range seismic.Components {
-					name := smformat.V2FileName(rc.station, comp)
-					if err := s.retryOp(rc, "move", func() error {
-						return s.moveArtifact(fsys, filepath.Join(dirs[i], name), s.path(name), s.bytesIn)
-					}); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			return s.degraded(rc, stageIn())
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	// Step 2 (sequential): install the executable image.
-	err = s.timedTask(proc, "install-exe", func() error {
-		for i := 0; i < n; i++ {
-			if err := s.cancelled(); err != nil {
-				return err
-			}
-			rc := rcs[i]
-			if s.isQuarantined(rc.station) {
-				continue
-			}
-			fsys := s.fsAt(tag, rc.station)
-			err := s.retryOp(rc, "copy", func() error {
-				return s.copyArtifact(fsys, filepath.Join(dirs[i], exeImageName), exe, s.bytesIn)
-			})
-			if err := s.degraded(rc, err); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Step 3 (parallel): transform inside each folder, stage the F products
-	// back out.
-	err = s.timedTask(proc, "execute", func() error {
-		return s.parFor(n, workers, CostHeavyIO, func(i int) error {
-			rc := rcs[i]
-			st := rc.station
-			if s.isQuarantined(st) {
-				return nil
-			}
-			fsys := s.fsAt(tag, st)
-			execute := func() error {
-				err := s.retryOp(rc, "exec", func() error {
-					if err := s.chaos.Exec(tag, st); err != nil {
-						return err
-					}
-					for _, comp := range seismic.Components {
-						v2, err := s.readV2(filepath.Join(dirs[i], smformat.V2FileName(st, comp)))
-						if err != nil {
-							return err
-						}
-						f, err := fourier.Spectra(v2)
-						if err != nil {
-							return err
-						}
-						if err := s.writeFourier(filepath.Join(dirs[i], smformat.FourierFileName(v2.Station, v2.Component)), f); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				for _, comp := range seismic.Components {
-					fname := smformat.FourierFileName(st, comp)
-					if err := s.retryOp(rc, "move", func() error {
-						return s.moveArtifact(fsys, s.path(fname), filepath.Join(dirs[i], fname), s.bytesOut)
-					}); err != nil {
-						return err
-					}
-					// Move the V2 input back: stages VIII, IX, and XI reuse it.
-					v2name := smformat.V2FileName(st, comp)
-					if err := s.retryOp(rc, "move", func() error {
-						return s.moveArtifact(fsys, s.path(v2name), filepath.Join(dirs[i], v2name), s.bytesOut)
-					}); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			return s.degraded(rc, execute())
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	// Step 4 (parallel): delete the scratch folders.
-	if s.opts.KeepTempDirs {
-		return nil
-	}
-	return s.timedTask(proc, "cleanup", func() error {
-		return s.parFor(n, workers, CostHeavyIO, func(i int) error {
-			if s.isQuarantined(rcs[i].station) {
-				return nil
-			}
-			s.removeScratch(s.fsAt(tag, rcs[i].station), dirs[i])
-			return nil
-		})
-	})
+	return smformat.WriteMaxValuesFileFS(s.ws, s.path(smformat.MaxValuesFile), merged)
 }
