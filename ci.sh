@@ -21,6 +21,9 @@ go build ./...
 echo "== test =="
 go test ./...
 
+echo "== FIR kernel under FMA (GOAMD64=v3 may fuse acc += t*x; blocked and reference loops must still agree bit for bit) =="
+GOAMD64=v3 go test -count=1 ./internal/dsp/
+
 echo "== schedule independence (tests whose outcome once depended on goroutine timing, 30 runs each) =="
 go test -count=30 -run 'TestPipelinedTargetedChaosMatchesFullParallel|TestArtifactCacheCounters' ./internal/pipeline/
 go test -count=30 -run 'TestRunTraceAndMetrics' ./cmd/smproc/

@@ -76,7 +76,9 @@ func BenchmarkFilterApply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, n := range []int{7300, 20000} {
+	// 505 and 1,930 are record lengths of the paper, ops and catalog
+	// workloads, shorter than the filter, so every output is edge-clamped.
+	for _, n := range []int{505, 1930, 7300, 20000} {
 		n := n
 		b.Run(fmt.Sprintf("n=%d/taps=%d", n, len(fir.Taps)), func(b *testing.B) {
 			x := randSignal(n)
@@ -86,6 +88,28 @@ func BenchmarkFilterApply(b *testing.B) {
 				fir.Apply(x)
 			}
 		})
+	}
+}
+
+// BenchmarkStreamingFIR filters the longrec workload's shape: a 36,000-sample
+// record through 2,201 taps, pushed in 8,192-sample chunks.
+func BenchmarkStreamingFIR(b *testing.B) {
+	spec := BandPassSpec{FSL: 0.1, FPL: 0.25, FPH: 23, FSH: 25}
+	fir, err := DesignBandPass(spec, 0.01)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n, chunk = 36_000, 8192
+	x := randSignal(n)
+	out := make([]float64, 0, chunk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sf := NewStreamingFIR(fir, n)
+		for c := 0; c < n; c += chunk {
+			out = sf.Push(x[c:min(c+chunk, n)], out[:0])
+		}
+		sf.Finish(out[:0])
 	}
 }
 
@@ -135,6 +159,43 @@ func TestFFTSteadyStateAllocations(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Errorf("AmplitudeSpectrum allocates %v per run, want <= 1 (the result)", n)
+	}
+}
+
+// TestStreamingFIRSteadyStateAllocations pins the streamed filter's
+// allocation contract: the window is sized on the first push, after which
+// Push and Finish into a pre-sized out allocate nothing.
+func TestStreamingFIRSteadyStateAllocations(t *testing.T) {
+	fir, err := DesignBandPass(BandPassSpec{FSL: 0.1, FPL: 0.25, FPH: 23, FSH: 25}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 1024
+	x := randSignal(chunk)
+	out := make([]float64, 0, chunk)
+	sf := NewStreamingFIR(fir, 1<<30) // long enough never to reach the end
+	sf.Push(x, out)                   // sizes the window
+	if n := testing.AllocsPerRun(20, func() { sf.Push(x, out[:0]) }); n > 0 {
+		t.Errorf("StreamingFIR.Push allocates %v per run, want 0", n)
+	}
+
+	// Finish, each run on a fresh filter that has taken all its input.
+	const runs = 20
+	pending := make([]*StreamingFIR, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range pending {
+		pending[i] = NewStreamingFIR(fir, 3*chunk)
+		for range 3 {
+			pending[i].Push(x, out[:0])
+		}
+	}
+	tail := make([]float64, 0, fir.Delay())
+	if n := testing.AllocsPerRun(runs, func() {
+		if got := len(pending[0].Finish(tail[:0])); got != fir.Delay() {
+			t.Fatalf("Finish emitted %d samples, want %d", got, fir.Delay())
+		}
+		pending = pending[1:]
+	}); n > 0 {
+		t.Errorf("StreamingFIR.Finish allocates %v per run, want 0", n)
 	}
 }
 

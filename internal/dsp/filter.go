@@ -97,32 +97,90 @@ func DesignBandPass(spec BandPassSpec, dt float64) (*FIRFilter, error) {
 // strong-motion records that begin and end in quiet pre- and post-event
 // noise (records are tapered before filtering).
 func (f *FIRFilter) Apply(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	taps := f.Taps
-	m := len(taps)
-	delay := f.Delay()
-	// out[i] = sum_j taps[j] * x[i+delay-j]
-	for i := 0; i < n; i++ {
-		center := i + delay
-		jLo := center - (n - 1)
-		if jLo < 0 {
-			jLo = 0
-		}
-		jHi := m - 1
-		if center < jHi {
-			jHi = center
-		}
-		var acc float64
-		for j := jLo; j <= jHi; j++ {
-			acc += taps[j] * x[center-j]
-		}
-		out[i] = acc
-	}
+	out := make([]float64, len(x))
+	firKernel(out, f.Taps, x, len(x), 0, 0)
 	return out
+}
+
+// firKernel is the one FIR convolution loop behind Apply and StreamingFIR.
+// It writes out[k] = output sample first+k of taps applied, delay
+// compensated, to an n-sample signal x:
+//
+//	out[k] = sum_j taps[j] * x[c-j],  c = first+k+delay,
+//
+// over the taps j whose input c-j lies in [0, n), summed in ascending j
+// from zero.  win holds x[off : off+len(win)] and must cover every input
+// those outputs read.
+//
+// Outputs are computed four at a time, each in its own accumulator, so one
+// pass over the taps feeds four independent add chains.  Within a block
+// each output sums a private head (taps below the block's shared range,
+// clamped at the end of the signal), the shared range, then a private tail
+// (taps above it, clamped at the start of the signal): the same terms in
+// the same ascending order as a one-output-at-a-time loop, so every sample
+// is bit-identical to it.
+func firKernel(out, taps, win []float64, n, off, first int) {
+	m := len(taps)
+	delay := (m - 1) / 2
+	k := 0
+	for ; k+4 <= len(out); k += 4 {
+		c := first + k + delay
+		// Output q of the block reads taps [max(0, c+q-(n-1)), min(m-1, c+q)];
+		// [lo, hi] lies inside all four ranges.
+		lo := max(0, c+3-(n-1))
+		hi := min(m-1, c)
+		if lo > hi {
+			for q := range 4 {
+				out[k+q] = firDot(0, taps, win, c+q-off, max(0, c+q-(n-1)), min(m-1, c+q))
+			}
+			continue
+		}
+		p := c - off
+		a0 := firDot(0, taps, win, p, max(0, c-(n-1)), lo-1)
+		a1 := firDot(0, taps, win, p+1, max(0, c+1-(n-1)), lo-1)
+		a2 := firDot(0, taps, win, p+2, max(0, c+2-(n-1)), lo-1)
+		a0, a1, a2, a3 := firShared4(a0, a1, a2, taps[lo:hi+1], win[p-hi:p-lo+4])
+		out[k] = a0
+		out[k+1] = firDot(a1, taps, win, p+1, hi+1, min(m-1, c+1))
+		out[k+2] = firDot(a2, taps, win, p+2, hi+1, min(m-1, c+2))
+		out[k+3] = firDot(a3, taps, win, p+3, hi+1, min(m-1, c+3))
+	}
+	for ; k < len(out); k++ {
+		c := first + k + delay
+		out[k] = firDot(0, taps, win, c-off, max(0, c-(n-1)), min(m-1, c))
+	}
+}
+
+// firShared4 adds a block's shared tap range ts to its four accumulators
+// (the fourth starts from zero).  xs holds the inputs the range reads,
+// len(ts)+3 of them: tap ts[j] meets xs[len(ts)-1-j+q] in output q, so each
+// step loads one new input and the other three rotate down a register.  It
+// is a function of its own so that its loop gets the registers to itself
+// rather than sharing them with firKernel's block bookkeeping.
+func firShared4(a0, a1, a2 float64, ts, xs []float64) (float64, float64, float64, float64) {
+	var a3 float64
+	i := len(ts) - 1
+	xs = xs[:i+4]
+	x1, x2, x3 := xs[i+1], xs[i+2], xs[i+3]
+	for _, t := range ts {
+		x0 := xs[i]
+		a0 += t * x0
+		a1 += t * x1
+		a2 += t * x2
+		a3 += t * x3
+		x1, x2, x3 = x0, x1, x2
+		i--
+	}
+	return a0, a1, a2, a3
+}
+
+// firDot returns acc + sum_{j=jLo}^{jHi} taps[j]*win[p-j], added in
+// ascending j; an empty range returns acc unchanged.
+func firDot(acc float64, taps, win []float64, p, jLo, jHi int) float64 {
+	for j := jLo; j <= jHi; j++ {
+		acc += taps[j] * win[p-j]
+	}
+	return acc
 }
 
 // BandPass designs and applies a Hamming band-pass filter in one call: the

@@ -1,13 +1,18 @@
 package dsp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file holds the incremental (chunk-at-a-time) counterparts of the
 // whole-record kernels used by the streaming execution plane.  Every helper
 // here is bit-identical to its batch twin: the same operations in the same
 // order on the same float64 values, so a streamed run produces byte-identical
-// output files.  Each helper documents the batch function it mirrors; tests
-// in stream_test.go pin the equivalence sample by sample.
+// output files.  Each helper documents the batch function it mirrors;
+// StreamingFIR does not mirror Apply's loop but calls the same kernel over a
+// sliding window of its input.  Tests in stream_test.go pin the equivalence
+// sample by sample, the FIR against a reference loop of their own.
 
 // MeanAccum accumulates the running sum needed to reproduce Demean's mean
 // over a signal delivered in chunks.  Additions happen in sample order, so
@@ -115,66 +120,44 @@ func (t Taper) Factor(p int) (float64, bool) {
 }
 
 // StreamingFIR applies a FIRFilter to a signal of known length delivered in
-// chunks, emitting the delay-compensated output in order.  The inner
-// convolution loop is a verbatim copy of FIRFilter.Apply's — same clamps,
-// same accumulation order — reading history from a ring of the last
-// len(Taps) inputs, so every output sample is bit-identical to the batch
-// filter's.
+// chunks, emitting the delay-compensated output in order.  It runs Apply's
+// own kernel over a sliding window: the last len(Taps)-1 inputs followed by
+// the pushed chunk, which holds every input the newly computable outputs
+// read, so every output sample is bit-identical to the batch filter's.
 type StreamingFIR struct {
 	taps  []float64
 	delay int
 	n     int       // total input length, known up front
-	ring  []float64 // last m inputs; ring[k%m] holds input k
+	win   []float64 // inputs [k-len(win), k), at most len(taps)-1 kept between pushes
 	k     int       // inputs consumed so far
+	next  int       // next output sample to emit
 }
 
 // NewStreamingFIR prepares a streaming application of f over an n-sample
 // signal.
 func NewStreamingFIR(f *FIRFilter, n int) *StreamingFIR {
-	return &StreamingFIR{
-		taps:  f.Taps,
-		delay: f.Delay(),
-		n:     n,
-		ring:  make([]float64, len(f.Taps)),
-	}
-}
-
-// emit computes output sample i exactly as Apply does.
-func (s *StreamingFIR) emit(i int) float64 {
-	taps := s.taps
-	m := len(taps)
-	center := i + s.delay
-	jLo := center - (s.n - 1)
-	if jLo < 0 {
-		jLo = 0
-	}
-	jHi := m - 1
-	if center < jHi {
-		jHi = center
-	}
-	var acc float64
-	for j := jLo; j <= jHi; j++ {
-		acc += taps[j] * s.ring[(center-j)%m]
-	}
-	return acc
+	return &StreamingFIR{taps: f.Taps, delay: f.Delay(), n: n}
 }
 
 // Push consumes the next run of input samples in order, appending any output
 // samples that become computable to out and returning the extended slice.
 // Output sample i needs input i+delay, so Push lags the input by the group
-// delay; Finish flushes the tail.
+// delay; Finish flushes the tail.  The window is sized on the first push
+// and grows only for a longer chunk, so pushes of steady-size chunks into a
+// pre-sized out allocate nothing.
 func (s *StreamingFIR) Push(x []float64, out []float64) []float64 {
 	if s.n == 0 {
 		return out
 	}
-	m := len(s.taps)
-	for _, v := range x {
-		s.ring[s.k%m] = v
-		// Input k enables output k-delay.
-		if i := s.k - s.delay; i >= 0 && i < s.n {
-			out = append(out, s.emit(i))
-		}
-		s.k++
+	if s.win == nil {
+		s.win = make([]float64, 0, len(s.taps)-1+len(x))
+	}
+	s.win = append(s.win, x...)
+	s.k += len(x)
+	out = s.emit(min(s.k-s.delay, s.n), out)
+	// Keep the history the next output reads: inputs from k-(len(taps)-1).
+	if keep := len(s.taps) - 1; len(s.win) > keep {
+		s.win = s.win[:copy(s.win, s.win[len(s.win)-keep:])]
 	}
 	return out
 }
@@ -183,16 +166,19 @@ func (s *StreamingFIR) Push(x []float64, out []float64) []float64 {
 // beyond the last input, where Apply reads zeros past the end) after all n
 // inputs have been pushed.
 func (s *StreamingFIR) Finish(out []float64) []float64 {
-	if s.n == 0 {
+	return s.emit(s.n, out)
+}
+
+// emit appends outputs [next, end) to out, computed by Apply's kernel over
+// the window.
+func (s *StreamingFIR) emit(end int, out []float64) []float64 {
+	if end <= s.next {
 		return out
 	}
-	start := s.k - s.delay
-	if start < 0 {
-		start = 0
-	}
-	for i := start; i < s.n; i++ {
-		out = append(out, s.emit(i))
-	}
+	start := len(out)
+	out = slices.Grow(out, end-s.next)[:start+end-s.next]
+	firKernel(out[start:], s.taps, s.win, s.n, s.k-len(s.win), s.next)
+	s.next = end
 	return out
 }
 

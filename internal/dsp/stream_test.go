@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -128,6 +129,86 @@ func TestStreamingFIRMatchesApply(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceFIR is the one-output-at-a-time direct form that Apply and
+// StreamingFIR must reproduce bit for bit: out[i] sums taps[j]*x[i+delay-j]
+// over the in-range taps in ascending j.
+func referenceFIR(taps, x []float64) []float64 {
+	n, m := len(x), len(taps)
+	delay := (m - 1) / 2
+	out := make([]float64, n)
+	for i := range out {
+		c := i + delay
+		var acc float64
+		for j := max(0, c-(n-1)); j <= min(m-1, c); j++ {
+			acc += taps[j] * x[c-j]
+		}
+		out[i] = acc
+	}
+	return out
+}
+
+// streamFIR runs StreamingFIR over x in fixed-size chunks.
+func streamFIR(fir *FIRFilter, x []float64, chunk int) []float64 {
+	sf := NewStreamingFIR(fir, len(x))
+	var out []float64
+	for i := 0; i < len(x); i += chunk {
+		out = sf.Push(x[i:min(i+chunk, len(x))], out)
+	}
+	return sf.Finish(out)
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s sample %d: %v (%#x), reference %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestFIRKernelMatchesReference checks Apply and StreamingFIR against the
+// reference loop in this file, not against each other (they share one
+// kernel): random odd tap counts 1-121, every n from 1 to 300 (so n below
+// the delay and below the tap count), several chunk schedules, and the
+// longrec shape.
+func TestFIRKernelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	tapCounts := []int{1, 3, 5, 121}
+	for range 8 {
+		tapCounts = append(tapCounts, 2*rng.Intn(61)+1)
+	}
+	chunks := []int{1, 3, 13, 256, 8192}
+	for _, m := range tapCounts {
+		fir := &FIRFilter{Taps: randomSignal(m, int64(m))}
+		for n := 1; n <= 300; n++ {
+			x := randomSignal(n, int64(n*1000+m))
+			want := referenceFIR(fir.Taps, x)
+			sameBits(t, fmt.Sprintf("taps=%d n=%d Apply", m, n), fir.Apply(x), want)
+			for _, c := range chunks {
+				sameBits(t, fmt.Sprintf("taps=%d n=%d chunk=%d StreamingFIR", m, n, c), streamFIR(fir, x, c), want)
+			}
+		}
+	}
+
+	// The longrec workload's shape: 36,000 samples through 2,201 taps in
+	// 8,192-sample chunks.
+	fir, err := DesignBandPass(BandPassSpec{FSL: 0.1, FPL: 0.25, FPH: 23, FSH: 25}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fir.Taps) != 2201 {
+		t.Fatalf("longrec filter has %d taps, want 2201", len(fir.Taps))
+	}
+	x := randomSignal(36_000, 36)
+	want := referenceFIR(fir.Taps, x)
+	sameBits(t, "longrec Apply", fir.Apply(x), want)
+	sameBits(t, "longrec StreamingFIR", streamFIR(fir, x, 8192), want)
 }
 
 func TestStreamingIntegratorMatchesIntegrate(t *testing.T) {
