@@ -21,6 +21,9 @@ go build ./...
 echo "== test =="
 go test ./...
 
+echo "== benchmark module (its own go.mod, so go build ./... never compiles it; it imports the pipeline's exported API) =="
+GOPROXY=off GOFLAGS= go -C benchmark test .
+
 echo "== FIR kernel under FMA (GOAMD64=v3 may fuse acc += t*x; blocked and reference loops must still agree bit for bit) =="
 GOAMD64=v3 go test -count=1 ./internal/dsp/
 

@@ -98,19 +98,17 @@ func DesignBandPass(spec BandPassSpec, dt float64) (*FIRFilter, error) {
 // noise (records are tapered before filtering).
 func (f *FIRFilter) Apply(x []float64) []float64 {
 	out := make([]float64, len(x))
-	firKernel(out, f.Taps, x, len(x), 0, 0)
+	firKernel(out, f.Taps, x)
 	return out
 }
 
-// firKernel is the one FIR convolution loop behind Apply and StreamingFIR.
-// It writes out[k] = output sample first+k of taps applied, delay
-// compensated, to an n-sample signal x:
+// firKernel is the direct-form FIR convolution behind Apply.  It writes
+// output sample k of taps applied, delay compensated, to x:
 //
-//	out[k] = sum_j taps[j] * x[c-j],  c = first+k+delay,
+//	out[k] = sum_j taps[j] * x[c-j],  c = k+delay,
 //
-// over the taps j whose input c-j lies in [0, n), summed in ascending j
-// from zero.  win holds x[off : off+len(win)] and must cover every input
-// those outputs read.
+// over the taps j whose input c-j lies in [0, len(x)), summed in ascending
+// j from zero.  out has len(x) samples.
 //
 // Outputs are computed four at a time, each in its own accumulator, so one
 // pass over the taps feeds four independent add chains.  Within a block
@@ -119,35 +117,34 @@ func (f *FIRFilter) Apply(x []float64) []float64 {
 // (taps above it, clamped at the start of the signal): the same terms in
 // the same ascending order as a one-output-at-a-time loop, so every sample
 // is bit-identical to it.
-func firKernel(out, taps, win []float64, n, off, first int) {
-	m := len(taps)
+func firKernel(out, taps, x []float64) {
+	n, m := len(x), len(taps)
 	delay := (m - 1) / 2
 	k := 0
-	for ; k+4 <= len(out); k += 4 {
-		c := first + k + delay
+	for ; k+4 <= n; k += 4 {
+		c := k + delay
 		// Output q of the block reads taps [max(0, c+q-(n-1)), min(m-1, c+q)];
 		// [lo, hi] lies inside all four ranges.
 		lo := max(0, c+3-(n-1))
 		hi := min(m-1, c)
 		if lo > hi {
 			for q := range 4 {
-				out[k+q] = firDot(0, taps, win, c+q-off, max(0, c+q-(n-1)), min(m-1, c+q))
+				out[k+q] = firDot(0, taps, x, c+q, max(0, c+q-(n-1)), min(m-1, c+q))
 			}
 			continue
 		}
-		p := c - off
-		a0 := firDot(0, taps, win, p, max(0, c-(n-1)), lo-1)
-		a1 := firDot(0, taps, win, p+1, max(0, c+1-(n-1)), lo-1)
-		a2 := firDot(0, taps, win, p+2, max(0, c+2-(n-1)), lo-1)
-		a0, a1, a2, a3 := firShared4(a0, a1, a2, taps[lo:hi+1], win[p-hi:p-lo+4])
+		a0 := firDot(0, taps, x, c, max(0, c-(n-1)), lo-1)
+		a1 := firDot(0, taps, x, c+1, max(0, c+1-(n-1)), lo-1)
+		a2 := firDot(0, taps, x, c+2, max(0, c+2-(n-1)), lo-1)
+		a0, a1, a2, a3 := firShared4(a0, a1, a2, taps[lo:hi+1], x[c-hi:c-lo+4])
 		out[k] = a0
-		out[k+1] = firDot(a1, taps, win, p+1, hi+1, min(m-1, c+1))
-		out[k+2] = firDot(a2, taps, win, p+2, hi+1, min(m-1, c+2))
-		out[k+3] = firDot(a3, taps, win, p+3, hi+1, min(m-1, c+3))
+		out[k+1] = firDot(a1, taps, x, c+1, hi+1, min(m-1, c+1))
+		out[k+2] = firDot(a2, taps, x, c+2, hi+1, min(m-1, c+2))
+		out[k+3] = firDot(a3, taps, x, c+3, hi+1, min(m-1, c+3))
 	}
-	for ; k < len(out); k++ {
-		c := first + k + delay
-		out[k] = firDot(0, taps, win, c-off, max(0, c-(n-1)), min(m-1, c))
+	for ; k < n; k++ {
+		c := k + delay
+		out[k] = firDot(0, taps, x, c, max(0, c-(n-1)), min(m-1, c))
 	}
 }
 
@@ -174,11 +171,11 @@ func firShared4(a0, a1, a2 float64, ts, xs []float64) (float64, float64, float64
 	return a0, a1, a2, a3
 }
 
-// firDot returns acc + sum_{j=jLo}^{jHi} taps[j]*win[p-j], added in
+// firDot returns acc + sum_{j=jLo}^{jHi} taps[j]*x[p-j], added in
 // ascending j; an empty range returns acc unchanged.
-func firDot(acc float64, taps, win []float64, p, jLo, jHi int) float64 {
+func firDot(acc float64, taps, x []float64, p, jLo, jHi int) float64 {
 	for j := jLo; j <= jHi; j++ {
-		acc += taps[j] * win[p-j]
+		acc += taps[j] * x[p-j]
 	}
 	return acc
 }

@@ -45,10 +45,11 @@ const (
 	CrashStageMove  = "stage-move"
 	CrashStageMoved = "stage-moved"
 	// CrashStreamNode fires inside a streamed per-record node of the
-	// streaming execution plane (internal/pipeline): after upstream chunks
-	// have been consumed and scratch spills written, but before the node's
-	// durable output commits — so the crash matrix can prove resume
-	// re-executes streamed work instead of trusting half-written artifacts.
+	// streaming execution plane (internal/pipeline): once per component of
+	// a streamed filter, after its upstream chunks have been consumed and its
+	// corrected chunks sent downstream, but before its durable V2 commits —
+	// so the crash matrix can prove resume re-executes streamed work instead
+	// of trusting half-written artifacts.
 	CrashStreamNode = "stream-node"
 )
 

@@ -86,7 +86,7 @@ type dfBuild struct {
 	// Streaming execution plane (Options.Streaming; see streamrun.go): the
 	// run's shared chunk pool, the gather pool of the blocking consumers,
 	// one stream per (producer process, record) stream edge, and the
-	// per-record scratch dirs holding stream spills and filter-pass spills.
+	// per-record scratch dirs holding stream spills.
 	pool       *stream.Pool
 	gatherPool *fourier.GatherPool
 	streams    map[ProcessID][]*stream.Stream
@@ -423,10 +423,10 @@ func (b *dfBuild) add(pid ProcessID, station string, inner func() error, deps, s
 		return nil
 	}
 	// A streamed producer must close its out-stream no matter how the node
-	// ends — error, quarantine skip, resume skip, or cache hit all leave the
-	// consumer blocked on Recv otherwise.  Close here is first-reason-wins:
-	// when the body already closed the stream cleanly this is a no-op, and
-	// every skip path degrades the consumer to its durable-artifact fallback.
+	// ends — an error, a quarantine skip or a resume skip leaves the consumer
+	// blocked on Header or Recv otherwise.  Close is first-reason-wins: a
+	// body that streamed has already closed the stream cleanly, and every
+	// skip degrades the consumer to its durable-artifact fallback.
 	if out := b.outStream(pid, station); out != nil {
 		body := run
 		run = func() error {

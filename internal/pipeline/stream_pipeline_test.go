@@ -17,11 +17,11 @@ import (
 )
 
 // The streaming execution plane's correctness contract: Options.Streaming
-// changes how bytes move (chunk streams + incremental writers instead of
-// materialized traces), never what bytes land.  These tests pin the
-// byte-identity matrix Streaming=on/off × fs/mem, the flat-memory claim the
-// plane exists for, the instrument-correction fallback path, and the kill-9
-// crash case proving resume re-executes a mid-stream node.
+// changes how bytes move (chunk streams instead of whole decoded
+// artifacts), never what bytes land.  These tests pin the byte-identity
+// matrix Streaming=on/off × fs/mem × instrument correction on/off, the
+// flat-memory claim the plane exists for, and the kill-9 crash case proving
+// resume re-executes a mid-stream node.
 
 // streamBudgetBound is the ablation acceptance bound: resident storage under
 // streaming stays within twice the default chunk budget regardless of NPTS.
@@ -29,21 +29,39 @@ var streamBudgetBound = int64(2 * stream.BudgetBytes(stream.DefaultChunkLen, str
 
 func TestStreamingProducesIdenticalOutputs(t *testing.T) {
 	ev := testEvent(t)
-	dirRef, _ := runVariant(t, ev, Pipelined, testOptions())
-	ref := productHashes(t, dirRef)
-	if len(ref) == 0 {
-		t.Fatal("no products found")
+	instruments := []struct {
+		name string
+		inst *dsp.Instrument
+	}{
+		{"instrument-off", nil},
+		{"instrument-on", &dsp.Instrument{F0: 25, Damping: 0.7}},
+	}
+	refs := make(map[string]map[string]string)
+	for _, in := range instruments {
+		opts := testOptions()
+		opts.Instrument = in.inst
+		dirRef, _ := runVariant(t, ev, Pipelined, opts)
+		refs[in.name] = productHashes(t, dirRef)
+		if len(refs[in.name]) == 0 {
+			t.Fatalf("%s: no products found", in.name)
+		}
 	}
 	for _, backend := range []storage.Backend{storage.BackendFS, storage.BackendMem} {
 		backend := backend
 		t.Run(string(backend), func(t *testing.T) {
-			opts := testOptions()
-			opts.Streaming = true
-			opts.Storage = backend
-			dir, res := runVariant(t, ev, Pipelined, opts)
-			assertSameProducts(t, productHashes(t, dir), ref, "streaming/"+string(backend))
-			if backend == storage.BackendMem && res.StorageBytesPeak > streamBudgetBound {
-				t.Errorf("StorageBytesPeak = %d, want <= %d under streaming", res.StorageBytesPeak, streamBudgetBound)
+			for _, in := range instruments {
+				in := in
+				t.Run(in.name, func(t *testing.T) {
+					opts := testOptions()
+					opts.Streaming = true
+					opts.Storage = backend
+					opts.Instrument = in.inst
+					dir, res := runVariant(t, ev, Pipelined, opts)
+					assertSameProducts(t, productHashes(t, dir), refs[in.name], "streaming/"+string(backend)+"/"+in.name)
+					if backend == storage.BackendMem && res.StorageBytesPeak > streamBudgetBound {
+						t.Errorf("StorageBytesPeak = %d, want <= %d under streaming", res.StorageBytesPeak, streamBudgetBound)
+					}
+				})
 			}
 		})
 	}
@@ -86,22 +104,6 @@ func TestStreamingFlatMemoryAblation(t *testing.T) {
 	if peaks["large"] > peaks["small"] {
 		t.Errorf("peak grew with NPTS: small=%d large=%d", peaks["small"], peaks["large"])
 	}
-}
-
-// TestStreamingInstrumentFallbackIdentity covers the whole-trace fallback
-// inside the streaming plane: instrument deconvolution gathers each record
-// and runs the batch kernel, and the outputs still match the materialized
-// run with the same instrument.
-func TestStreamingInstrumentFallbackIdentity(t *testing.T) {
-	ev := testEvent(t)
-	opts := testOptions()
-	opts.Instrument = &dsp.Instrument{F0: 25, Damping: 0.7}
-	dirRef, _ := runVariant(t, ev, Pipelined, opts)
-	ref := productHashes(t, dirRef)
-
-	opts.Streaming = true
-	dir, _ := runVariant(t, ev, Pipelined, opts)
-	assertSameProducts(t, productHashes(t, dir), ref, "streaming+instrument")
 }
 
 func TestStreamingRequiresPipelined(t *testing.T) {
@@ -150,7 +152,8 @@ func streamCrashOptions() Options {
 
 // TestStreamCrashRunHelper runs only as the re-exec'd child of
 // TestStreamingCrashResume; the armed stream-node crash point SIGKILLs it
-// between a streamed filter's scratch passes and its durable V2 commit.
+// after a streamed filter sent a component downstream and before its
+// durable V2 commit.
 func TestStreamCrashRunHelper(t *testing.T) {
 	dir := os.Getenv(streamCrashHelperEnv)
 	if dir == "" {
@@ -163,10 +166,10 @@ func TestStreamCrashRunHelper(t *testing.T) {
 
 // TestStreamingCrashResume is the crash-matrix case for the streaming plane:
 // kill -9 inside a streamed per-record node — after its upstream chunks were
-// consumed and scratch spills written, before its durable output committed —
-// then resume.  The journal never acknowledged the node, so resume must
-// re-execute it (not trust half-written state), sweep the stranded
-// tmp_stream_* scratch, and land byte-identical products.
+// consumed and its corrected chunks sent, before its durable output
+// committed — then resume.  The journal never acknowledged the node, so
+// resume must re-execute it (not trust half-written state), sweep the
+// stranded tmp_stream_* scratch, and land byte-identical products.
 func TestStreamingCrashResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs the test binary")
@@ -186,7 +189,8 @@ func TestStreamingCrashResume(t *testing.T) {
 	ref := productHashes(t, refDir)
 
 	// Hit 2 dies in the second component of the first record's default
-	// filter: one V2 durable, one mid-scratch, the out-stream mid-flight.
+	// filter: one V2 durable, the second's chunks sent but its V2 unwritten,
+	// the out-stream mid-flight.
 	for _, arm := range []string{
 		faults.CrashStreamNode + ":2",
 		faults.CrashStreamNode + ":5",

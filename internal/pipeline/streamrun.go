@@ -1,11 +1,9 @@
 package pipeline
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"path/filepath"
 
 	"accelproc/internal/dsp"
@@ -15,36 +13,37 @@ import (
 	"accelproc/internal/response"
 	"accelproc/internal/seismic"
 	"accelproc/internal/smformat"
-	"accelproc/internal/storage"
 	"accelproc/internal/stream"
 )
 
 // This file implements the streaming execution plane (Options.Streaming) on
-// top of the Pipelined variant: the sequential-scan hot stages consume and
-// emit a record chunk at a time instead of materializing whole traces, so a
-// (producer, consumer) node pair runs concurrently with bounded memory no
-// matter how large NPTS grows.
+// top of the Pipelined variant: records move between nodes as pooled chunks
+// instead of whole decoded artifacts, so a (producer, consumer) node pair
+// runs concurrently and stored bytes stay flat no matter how large NPTS
+// grows.
 //
 // Three stream edges exist per record, mirroring the artifact chain:
 //
-//   #3 separate  ──raw comp chunks──▶  #4 default filter
+//   #3 separate  ──raw comp chunks──▶  #4 default filter (gathers)
 //   #4 default filter ──corrected accel chunks──▶  #7 Fourier (gathers)
 //   #13 definitive filter ──corrected accel chunks──▶  #16 response (gathers)
 //
-// #13 has no in-stream: its V1 inputs are durable by then (written by #3,
-// re-read chunk by chunk), and the WAR edge #7→#13 stays a completion edge so
-// the definitive filter never overwrites a V2 file the Fourier stage is still
-// reading.  Every streamed producer also writes its durable artifact
-// incrementally through Workspace.Create, so the on-disk outputs are byte
+// Only #3's scan is chunk-at-a-time end to end.  The filters, the FFT and
+// the response spectrum need a whole component before they can start, so
+// each gathers one component from its in-stream, processes it, and moves on
+// to the next.  #13 has no in-stream: its V1 inputs are durable by then
+// (written by #3) and it reads them whole, and the WAR edge #7→#13 stays a
+// completion edge so the definitive filter never overwrites a V2 file the
+// Fourier stage is still reading.  Every streamed producer writes its
+// durable artifact through Workspace.Create, so the on-disk outputs are byte
 // for byte those of a materialized run and downstream consumers that did not
 // get a stream (plots, GEM exports, resumed runs) read the same files as
 // always.
 //
 // Fallback discipline: a stream is closed with stream.ErrFallback whenever
-// its producer did not stream (resume skip, quarantine skip, or a
-// non-streaming code path such as instrument correction) — the node wrapper
-// in dataflowrun.go does this after the body returns, which is after the
-// durable outputs landed, so a consumer that sees ErrFallback can always
+// its producer did not stream (resume skip or quarantine skip) — the node
+// wrapper in dataflowrun.go does this after the body returns, which is after
+// the durable outputs landed, so a consumer that sees ErrFallback can always
 // read the artifacts instead.
 
 // streamHeader is the record metadata a streamed producer publishes before
@@ -71,9 +70,8 @@ var streamEdgeTag = map[ProcessID]string{
 	PCorrectedFilter:    "cor",
 }
 
-// streamBase is the per-record scratch directory holding stream spills and
-// the filter passes' sample scratch.  The tmp_ prefix keeps it inside the
-// resume plane's stale-scratch sweep.
+// streamBase is the per-record scratch directory holding stream spills.  The
+// tmp_ prefix keeps it inside the resume plane's stale-scratch sweep.
 func (b *dfBuild) streamBase(i int, st string) string {
 	return b.s.path(fmt.Sprintf("tmp_stream_%02d_%s", i, st))
 }
@@ -170,85 +168,6 @@ func abortCreate(w io.WriteCloser) {
 	w.Close()
 }
 
-// sampleWriter spills float64 samples to a scratch file as raw little-endian
-// bits, an exact round-trip, through Workspace.Create (write-through on the
-// mem backend, so scratch never counts against resident bytes).
-type sampleWriter struct {
-	wc   io.WriteCloser
-	path string
-	buf  []byte
-}
-
-func createSamples(ws storage.Workspace, path string) (*sampleWriter, error) {
-	wc, err := ws.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &sampleWriter{wc: wc, path: path}, nil
-}
-
-func (w *sampleWriter) Append(vs []float64) error {
-	need := 8 * len(vs)
-	if cap(w.buf) < need {
-		w.buf = make([]byte, need)
-	}
-	buf := w.buf[:need]
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	if _, err := w.wc.Write(buf); err != nil {
-		return fmt.Errorf("pipeline: sample scratch %s: %w", w.path, err)
-	}
-	return nil
-}
-
-func (w *sampleWriter) Close() error { return w.wc.Close() }
-
-func (w *sampleWriter) Abort() { abortCreate(w.wc) }
-
-// sampleReader reads a sample scratch file back in caller-sized chunks.
-type sampleReader struct {
-	rc   io.ReadCloser
-	path string
-	buf  []byte
-}
-
-func openSamples(ws storage.Workspace, path string) (*sampleReader, error) {
-	rc, err := ws.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return &sampleReader{rc: rc, path: path}, nil
-}
-
-// Read fills buf with up to len(buf) further samples; (0, io.EOF) at the end.
-func (r *sampleReader) Read(buf []float64) (int, error) {
-	need := 8 * len(buf)
-	if cap(r.buf) < need {
-		r.buf = make([]byte, need)
-	}
-	b := r.buf[:need]
-	n, err := io.ReadFull(r.rc, b)
-	if n == 0 {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, io.EOF
-		}
-		return 0, fmt.Errorf("pipeline: sample scratch %s: %w", r.path, err)
-	}
-	if n%8 != 0 {
-		return 0, fmt.Errorf("pipeline: sample scratch %s truncated mid-sample at %d bytes", r.path, n)
-	}
-	if err != nil && err != io.ErrUnexpectedEOF {
-		return 0, fmt.Errorf("pipeline: sample scratch %s: %w", r.path, err)
-	}
-	for i := 0; i < n/8; i++ {
-		buf[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return n / 8, nil
-}
-
-func (r *sampleReader) Close() error { return r.rc.Close() }
-
 // streamSeparateStation is the streamed body of one record of process #3: it
 // opens the station's input through the ingest plane (format resolution, QC
 // gate, rotation) and scans the record once, writing each per-component file
@@ -326,42 +245,13 @@ func (b *dfBuild) streamSeparateStation(i int, st string) error {
 	return nil
 }
 
-// streamFeed adapts the in-stream of process #4 to the chunked-read shape of
-// streamFilterComp: it serves one component's npts samples and then reports
-// io.EOF, leaving the next component's chunks queued.
-func streamFeed(in *stream.Stream, ci, npts int) func([]float64) (int, error) {
-	served := 0
-	return func(buf []float64) (int, error) {
-		if served >= npts {
-			return 0, io.EOF
-		}
-		c, err := in.Recv()
-		if err != nil {
-			if err == io.EOF {
-				return 0, fmt.Errorf("pipeline: stream ended after %d of %d samples", served, npts)
-			}
-			return 0, err
-		}
-		defer c.Release()
-		if c.Comp != ci {
-			return 0, fmt.Errorf("pipeline: stream delivered component %d while reading %d", c.Comp, ci)
-		}
-		if len(c.Data) > len(buf) {
-			return 0, fmt.Errorf("pipeline: stream chunk of %d samples exceeds %d-sample buffer", len(c.Data), len(buf))
-		}
-		n := copy(buf, c.Data)
-		served += n
-		return n, nil
-	}
-}
-
 // streamFilterRecord is the streamed body of one record of processes #4 and
-// #13: per component, a multi-pass chunked reproduction of correctSignal
-// that never holds a whole trace.  Process #4 prefers its in-stream from #3
-// and falls back to the durable per-component files; #13 always re-reads the
-// durable files (its stream producer would be the Fourier stage's WAR
-// predecessor, not a sample source).  Both feed their corrected acceleration
-// chunks to the downstream gather stage.
+// #13.  The filter needs its whole input, so per component it gathers the
+// raw samples — from the in-stream when #3 streamed, from the durable
+// per-component V1 otherwise (always, for #13) — runs the shared
+// correctSignal, sends the corrected acceleration downstream in pooled
+// chunks so the gather consumer starts before the V2 lands, and then writes
+// the V2 through Create.
 func (b *dfBuild) streamFilterRecord(pid ProcessID, i int, st string) (smformat.MaxValues, error) {
 	s := b.s
 	params, err := s.readFilterParams(s.path(smformat.FilterParamsFile))
@@ -370,63 +260,68 @@ func (b *dfBuild) streamFilterRecord(pid ProcessID, i int, st string) (smformat.
 	}
 	out := b.streams[pid][i]
 	in := b.inStream(pid, i)
-	if s.opts.Instrument != nil {
-		// Instrument deconvolution is a whole-trace transfer-function
-		// operation; gather the record and run the batch kernel.  The node
-		// wrapper closes the out-stream with ErrFallback after the durable
-		// V2 files below have landed.
-		return b.gatherFilterRecord(st, params, in)
-	}
-	frag := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
-	base := b.streamBase(i, st)
+	var hdr streamHeader
 	if in != nil {
 		h, herr := in.Header()
 		switch {
 		case herr == nil:
-			hdr, ok := h.(streamHeader)
-			if !ok {
+			var ok bool
+			if hdr, ok = h.(streamHeader); !ok {
 				return smformat.MaxValues{}, fmt.Errorf("pipeline: stream for %s carries %T, want header", st, h)
 			}
-			out.SetHeader(hdr)
-			for ci, comp := range seismic.Components {
-				key := smformat.SignalKey{Station: st, Component: comp}
-				pk, err := b.streamFilterComp(base, st, ci, comp, params.Spec(key), hdr.DT, hdr.NPTS,
-					streamFeed(in, ci, hdr.NPTS), out)
-				if err != nil {
-					return smformat.MaxValues{}, err
-				}
-				frag.Peaks[key] = pk
-			}
-			out.Close(nil)
-			return frag, nil
 		case fallbackClose(herr):
 			// The producer did not stream; its per-component files are
-			// durable — read them chunk by chunk below.  Unless the record
-			// was condemned while this node was already blocked on the
-			// header (the decode node quarantines before its wrapper closes
-			// the stream, so the flag is visible here): then there are no
-			// durable files and the record simply yields no fragment.
+			// durable.  Unless the record was condemned while this node was
+			// already blocked on the header (the decode node quarantines
+			// before its wrapper closes the stream, so the flag is visible
+			// here): then there are no durable files and the record simply
+			// yields no fragment.
 			if s.isQuarantined(st) {
 				return smformat.MaxValues{}, nil
 			}
+			in = nil
 		default:
 			return smformat.MaxValues{}, herr
 		}
 	}
-	hdrSet := false
+	frag := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
 	for ci, comp := range seismic.Components {
-		r, err := smformat.OpenV1ComponentChunks(s.ws, s.path(smformat.V1ComponentFileName(st, comp)))
+		key := smformat.SignalKey{Station: st, Component: comp}
+		var v1 smformat.V1Component
+		var g *fourier.GatherBuffer
+		if in != nil {
+			g = b.gatherPool.Get()
+			err = recvComponent(in, st, ci, hdr.NPTS, g)
+			v1 = smformat.V1Component{Station: st, Component: comp, DT: hdr.DT, Accel: g.Data}
+		} else {
+			// Not through readV1Comp: the memo would keep every component
+			// this node reads alive for the rest of the run.
+			v1, err = smformat.ReadV1ComponentFileFS(s.ws, s.path(smformat.V1ComponentFileName(st, comp)))
+		}
+		var v2 smformat.V2
+		var pk seismic.PeakValues
+		if err == nil {
+			v2, pk, err = s.correctSignal(v1, params.Spec(key))
+		}
+		if g != nil {
+			// correctSignal filters a copy, so the gathered samples are
+			// free to go back to the pool.
+			g.Release()
+		}
 		if err != nil {
 			return smformat.MaxValues{}, err
 		}
-		if !hdrSet {
-			out.SetHeader(streamHeader{Station: st, DT: r.DT, NPTS: r.NPTS})
-			hdrSet = true
+		if ci == 0 {
+			out.SetHeader(streamHeader{Station: st, DT: v2.DT, NPTS: len(v2.Accel)})
 		}
-		key := smformat.SignalKey{Station: st, Component: comp}
-		pk, err := b.streamFilterComp(base, st, ci, comp, params.Spec(key), r.DT, r.NPTS, r.Read, out)
-		r.Close()
-		if err != nil {
+		if err := b.sendSamples(out, ci, v2.Accel); err != nil {
+			return smformat.MaxValues{}, err
+		}
+		// Upstream chunks consumed and corrected chunks sent, durable output
+		// not yet committed: the crash matrix kills here to prove resume
+		// re-executes the node instead of trusting a half-written artifact.
+		faults.Crash(faults.CrashStreamNode)
+		if err := smformat.WriteFileCreateFS(s.ws, s.path(smformat.V2FileName(st, comp)), v2); err != nil {
 			return smformat.MaxValues{}, err
 		}
 		frag.Peaks[key] = pk
@@ -435,363 +330,39 @@ func (b *dfBuild) streamFilterRecord(pid ProcessID, i int, st string) (smformat.
 	return frag, nil
 }
 
-// streamFilterComp reproduces correctSignal for one component in four
-// chunked passes over sample scratch files, bit-identical to the batch path:
-//
-//	A: spill the raw samples, accumulating the mean (Demean's sum order);
-//	B: demean + taper + FIR-filter, spilling the filtered samples and
-//	   accumulating the detrend sums over the filtered output;
-//	C: subtract the regression line, validate finiteness, track the PGA/
-//	   PGV/PGD peaks (velocity and displacement via chained streaming
-//	   integrators), spilling the corrected acceleration;
-//	D: write the V2 file incrementally — headers need the pass-C peaks —
-//	   re-reading the acceleration scratch once per payload block, and send
-//	   the acceleration chunks down the out-stream.
-func (b *dfBuild) streamFilterComp(base, st string, ci int, comp seismic.Component, spec dsp.BandPassSpec, dt float64, npts int, feed func([]float64) (int, error), out *stream.Stream) (seismic.PeakValues, error) {
-	s := b.s
-	none := seismic.PeakValues{}
-	// The batch path designs the filter before touching samples, so its
-	// error (including non-positive DT) comes first; an empty trace then
-	// fails exactly where seismic.Peaks would.
-	fir, err := dsp.DesignBandPass(spec, dt)
-	if err != nil {
-		return none, err
-	}
-	if npts <= 0 {
-		return none, fmt.Errorf("seismic: trace has no samples")
-	}
-	rawPath := filepath.Join(base, st+comp.Suffix()+".raw.samples")
-	filtPath := filepath.Join(base, st+comp.Suffix()+".filt.samples")
-	accPath := filepath.Join(base, st+comp.Suffix()+".acc.samples")
-	inBuf := make([]float64, b.pool.ChunkLen())
-	outBuf := make([]float64, 0, b.pool.ChunkLen())
-
-	// Pass A: raw samples to scratch, mean accumulated in sample order.
-	var mean dsp.MeanAccum
-	total := 0
-	rw, err := createSamples(s.ws, rawPath)
-	if err != nil {
-		return none, err
-	}
-	for {
-		n, rerr := feed(inBuf)
-		if n > 0 {
-			total += n
-			mean.ObserveSlice(inBuf[:n])
-			if err := rw.Append(inBuf[:n]); err != nil {
-				rw.Abort()
-				return none, err
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			rw.Abort()
-			return none, rerr
-		}
-	}
-	if err := rw.Close(); err != nil {
-		return none, err
-	}
-	if total != npts {
-		return none, fmt.Errorf("pipeline: component %s%s delivered %d of %d samples", st, comp.Suffix(), total, npts)
-	}
-
-	// Pass B: demean + taper + filter; the trend sums accumulate over the
-	// filtered output exactly as Detrend's single loop does.
-	m := mean.Mean()
-	taper := dsp.NewTaper(npts, s.opts.TaperFraction)
-	sfir := dsp.NewStreamingFIR(fir, npts)
-	var trend dsp.TrendAccum
-	rr, err := openSamples(s.ws, rawPath)
-	if err != nil {
-		return none, err
-	}
-	fw, err := createSamples(s.ws, filtPath)
-	if err != nil {
-		rr.Close()
-		return none, err
-	}
-	pos := 0
-	writeFiltered := func(vs []float64) error {
-		for _, y := range vs {
-			trend.Observe(y)
-		}
-		return fw.Append(vs)
-	}
-	for {
-		n, rerr := rr.Read(inBuf)
-		if n > 0 {
-			for k := 0; k < n; k++ {
-				v := inBuf[k] - m
-				if f, ok := taper.Factor(pos); ok {
-					v *= f
-				}
-				inBuf[k] = v
-				pos++
-			}
-			outBuf = sfir.Push(inBuf[:n], outBuf[:0])
-			if err := writeFiltered(outBuf); err != nil {
-				rr.Close()
-				fw.Abort()
-				return none, err
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			rr.Close()
-			fw.Abort()
-			return none, rerr
-		}
-	}
-	rr.Close()
-	outBuf = sfir.Finish(outBuf[:0])
-	if err := writeFiltered(outBuf); err != nil {
-		fw.Abort()
-		return none, err
-	}
-	if err := fw.Close(); err != nil {
-		return none, err
-	}
-
-	// Pass C: detrend, finiteness, peaks; corrected acceleration to scratch.
-	intercept, slope := trend.Line()
-	fr, err := openSamples(s.ws, filtPath)
-	if err != nil {
-		return none, err
-	}
-	aw, err := createSamples(s.ws, accPath)
-	if err != nil {
-		fr.Close()
-		return none, err
-	}
-	var pga, pgv, pgd dsp.PeakTracker
-	velInt := dsp.NewStreamingIntegrator(dt)
-	dispInt := dsp.NewStreamingIntegrator(dt)
-	idx := 0
-	for {
-		n, rerr := fr.Read(inBuf)
-		if n > 0 {
-			for k := 0; k < n; k++ {
-				y := inBuf[k] - (intercept + slope*float64(idx))
-				if math.IsNaN(y) || math.IsInf(y, 0) {
-					fr.Close()
-					aw.Abort()
-					return none, fmt.Errorf("seismic: trace sample %d is not finite (%g)", idx, y)
-				}
-				pga.Observe(idx, y)
-				v := velInt.Next(y)
-				pgv.Observe(idx, v)
-				d := dispInt.Next(v)
-				pgd.Observe(idx, d)
-				inBuf[k] = y
-				idx++
-			}
-			if err := aw.Append(inBuf[:n]); err != nil {
-				fr.Close()
-				aw.Abort()
-				return none, err
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			fr.Close()
-			aw.Abort()
-			return none, rerr
-		}
-	}
-	fr.Close()
-	if err := aw.Close(); err != nil {
-		return none, err
-	}
-	pkA, iA := pga.Peak()
-	pkV, iV := pgv.Peak()
-	pkD, iD := pgd.Peak()
-	peaks := seismic.PeakValues{
-		PGA: pkA, TimePGA: float64(iA) * dt,
-		PGV: pkV, TimePGV: float64(iV) * dt,
-		PGD: pkD, TimePGD: float64(iD) * dt,
-	}
-
-	// Upstream chunks consumed, scratch spilled, durable output not yet
-	// committed: the crash matrix kills here to prove resume re-executes the
-	// node instead of trusting a half-written artifact.
-	faults.Crash(faults.CrashStreamNode)
-
-	// Pass D: the V2 file, incrementally, plus the out-stream chunks.
-	w, err := smformat.NewV2StreamWriter(s.ws, s.path(smformat.V2FileName(st, comp)), st, comp, dt, npts, spec, peaks)
-	if err != nil {
-		return none, err
-	}
-	if err := w.StartBlock(); err != nil { // ACCELERATION
-		w.Abort()
-		return none, err
-	}
-	ar, err := openSamples(s.ws, accPath)
-	if err != nil {
-		w.Abort()
-		return none, err
-	}
-	for {
+// sendSamples sends xs down out as component ci's pooled chunks.
+func (b *dfBuild) sendSamples(out *stream.Stream, ci int, xs []float64) error {
+	for len(xs) > 0 {
 		c := b.pool.Get(ci)
-		buf := c.Data[:cap(c.Data)]
-		n, rerr := ar.Read(buf)
-		if n > 0 {
-			c.Data = buf[:n]
-			if err := w.Append(c.Data); err != nil {
-				c.Release()
-				ar.Close()
-				w.Abort()
-				return none, err
-			}
-			if err := out.Send(c); err != nil {
-				ar.Close()
-				w.Abort()
-				return none, err
-			}
-		} else {
-			c.Release()
+		n := copy(c.Data[:cap(c.Data)], xs)
+		c.Data = c.Data[:n]
+		if err := out.Send(c); err != nil {
+			return err
 		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			ar.Close()
-			w.Abort()
-			return none, rerr
-		}
+		xs = xs[n:]
 	}
-	ar.Close()
-	g1 := dsp.NewStreamingIntegrator(dt)
-	if err := b.writeIntegratedBlock(w, accPath, inBuf, g1.Next); err != nil { // VELOCITY
-		w.Abort()
-		return none, err
-	}
-	gv := dsp.NewStreamingIntegrator(dt)
-	gd := dsp.NewStreamingIntegrator(dt)
-	err = b.writeIntegratedBlock(w, accPath, inBuf, func(x float64) float64 { // DISPLACEMENT
-		return gd.Next(gv.Next(x))
-	})
-	if err != nil {
-		w.Abort()
-		return none, err
-	}
-	if err := w.Close(); err != nil {
-		return none, err
-	}
-	_ = s.ws.Remove(rawPath)
-	_ = s.ws.Remove(filtPath)
-	_ = s.ws.Remove(accPath)
-	return peaks, nil
+	return nil
 }
 
-// writeIntegratedBlock streams one derived V2 payload block: the
-// acceleration scratch mapped through next (a streaming integrator chain).
-func (b *dfBuild) writeIntegratedBlock(w *smformat.V2StreamWriter, accPath string, inBuf []float64, next func(float64) float64) error {
-	if err := w.StartBlock(); err != nil {
-		return err
-	}
-	r, err := openSamples(b.s.ws, accPath)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	for {
-		n, rerr := r.Read(inBuf)
-		if n > 0 {
-			for k := 0; k < n; k++ {
-				inBuf[k] = next(inBuf[k])
-			}
-			if err := w.Append(inBuf[:n]); err != nil {
-				return err
-			}
-		}
-		if rerr == io.EOF {
-			return nil
-		}
-		if rerr != nil {
-			return rerr
-		}
-	}
-}
-
-// gatherFilterRecord is the whole-trace body of #4/#13 when instrument
-// correction is enabled: it gathers the record (from the in-stream when the
-// producer streamed, from the durable files otherwise) and runs the batch
-// correctSignal, writing each V2 through Create.  Its out-stream is closed
-// with ErrFallback by the node wrapper after these durable writes.
-func (b *dfBuild) gatherFilterRecord(st string, params smformat.FilterParams, in *stream.Stream) (smformat.MaxValues, error) {
-	s := b.s
-	frag := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
-	var gathered [3][]float64
-	var dt float64
-	haveStream := false
-	if in != nil {
-		h, err := in.Header()
-		switch {
-		case err == nil:
-			hdr, ok := h.(streamHeader)
-			if !ok {
-				return frag, fmt.Errorf("pipeline: stream for %s carries %T, want header", st, h)
-			}
-			dt = hdr.DT
-			for ci := range seismic.Components {
-				buf := make([]float64, 0, hdr.NPTS)
-				for len(buf) < hdr.NPTS {
-					c, rerr := in.Recv()
-					if rerr != nil {
-						if rerr == io.EOF {
-							return frag, fmt.Errorf("pipeline: stream for %s ended after %d of %d samples", st, len(buf), hdr.NPTS)
-						}
-						return frag, rerr
-					}
-					if c.Comp != ci {
-						c.Release()
-						return frag, fmt.Errorf("pipeline: stream for %s delivered component %d while gathering %d", st, c.Comp, ci)
-					}
-					buf = append(buf, c.Data...)
-					c.Release()
-				}
-				gathered[ci] = buf
-			}
-			haveStream = true
-		case fallbackClose(err):
-			// No durable files exist for a record condemned by its decode
-			// node while we were blocked on the header; yield no fragment.
-			if s.isQuarantined(st) {
-				return smformat.MaxValues{}, nil
-			}
-		default:
-			return frag, err
-		}
-	}
-	for ci, comp := range seismic.Components {
-		var v1 smformat.V1Component
-		if haveStream {
-			v1 = smformat.V1Component{Station: st, Component: comp, DT: dt, Accel: gathered[ci]}
-		} else {
-			var err error
-			v1, err = s.readV1Comp(s.path(smformat.V1ComponentFileName(st, comp)))
-			if err != nil {
-				return frag, err
-			}
-		}
-		key := smformat.SignalKey{Station: st, Component: comp}
-		v2, pk, err := s.correctSignal(v1, params.Spec(key))
+// recvComponent gathers component ci's npts samples from in into g.  Errors
+// from the stream (including a fallback close) are returned unwrapped.
+func recvComponent(in *stream.Stream, st string, ci, npts int, g *fourier.GatherBuffer) error {
+	for len(g.Data) < npts {
+		c, err := in.Recv()
 		if err != nil {
-			return frag, err
+			if err == io.EOF {
+				return fmt.Errorf("pipeline: stream for %s ended after %d of %d samples of component %s", st, len(g.Data), npts, seismic.Components[ci])
+			}
+			return err
 		}
-		if err := smformat.WriteFileCreateFS(s.ws, s.path(smformat.V2FileName(st, comp)), v2); err != nil {
-			return frag, err
+		if c.Comp != ci {
+			c.Release()
+			return fmt.Errorf("pipeline: stream for %s delivered component %d while gathering %d", st, c.Comp, ci)
 		}
-		frag.Peaks[key] = pk
+		g.Append(c.Data)
+		c.Release()
 	}
-	return frag, nil
+	return nil
 }
 
 // streamFourierRecord is the streamed body of one record of process #7: a
@@ -841,23 +412,11 @@ func (b *dfBuild) gatherRecord(pid ProcessID, i int, st string, emit func(smform
 	defer g.Release()
 	for ci, comp := range seismic.Components {
 		g.Data = g.Data[:0]
-		for len(g.Data) < hdr.NPTS {
-			c, rerr := in.Recv()
-			if rerr != nil {
-				if errors.Is(rerr, stream.ErrFallback) {
-					return b.gatherFromDurable(st, emit)
-				}
-				if rerr == io.EOF {
-					return fmt.Errorf("pipeline: stream for %s ended after %d of %d samples of component %s", st, len(g.Data), hdr.NPTS, comp)
-				}
-				return rerr
+		if err := recvComponent(in, st, ci, hdr.NPTS, g); err != nil {
+			if errors.Is(err, stream.ErrFallback) {
+				return b.gatherFromDurable(st, emit)
 			}
-			if c.Comp != ci {
-				c.Release()
-				return fmt.Errorf("pipeline: stream for %s delivered component %d while gathering %d", st, c.Comp, ci)
-			}
-			g.Append(c.Data)
-			c.Release()
+			return err
 		}
 		accel := g.Data
 		vel := dsp.Integrate(accel, hdr.DT)

@@ -6,15 +6,16 @@ import (
 	"io"
 	"strconv"
 
-	"accelproc/internal/dsp"
 	"accelproc/internal/seismic"
 )
 
-// This file is the streaming counterpart of fsio.go: incremental writers and
-// chunked readers for the large per-component products, so the streaming
-// execution plane can produce and consume them without ever holding a whole
-// record in memory.  Every writer emits byte-for-byte the same file as its
-// batch twin (Write on a fully materialized value); tests pin the identity.
+// This file is the streaming counterpart of fsio.go: a chunked reader for
+// the multiplexed V1 record, an incremental writer for the per-component V1
+// files it separates into, and WriteFileCreateFS, which serializes any
+// product through a streaming Create handle.  They let the streaming
+// execution plane scan a record without holding it whole.  Every writer
+// emits byte-for-byte the same file as its batch twin (Write on a fully
+// materialized value); tests pin the identity.
 
 // StreamFS is the storage surface the incremental codecs need: the batch FS
 // plus open-for-read and create-for-write streams.  Workspace backends
@@ -194,153 +195,6 @@ func (w *V1ComponentStreamWriter) Close() error {
 // Abort discards the partially written file.
 func (w *V1ComponentStreamWriter) Abort() { abortWriter(w.wc) }
 
-// v2Blocks is the fixed block order of a V2 file.
-var v2Blocks = [3]string{"ACCELERATION", "VELOCITY", "DISPLACEMENT"}
-
-// V2StreamWriter writes a V2 file incrementally: all headers up front
-// (corners and peaks must therefore be known before the samples — the
-// streamed filter computes them in its accumulation pass), then the three
-// payload blocks in order, each fed in chunks.  The bytes match V2.Write
-// exactly.
-type V2StreamWriter struct {
-	wc    io.WriteCloser
-	bw    *bufio.Writer
-	npts  int
-	block int // blocks started so far
-	vals  *valueBlockWriter
-	err   error
-}
-
-// NewV2StreamWriter opens path through fsys.Create and writes the header
-// lines.
-func NewV2StreamWriter(fsys StreamFS, path, station string, comp seismic.Component, dt float64, npts int, filter dsp.BandPassSpec, peaks seismic.PeakValues) (*V2StreamWriter, error) {
-	if station == "" {
-		return nil, fmt.Errorf("smformat: V2 with empty station")
-	}
-	if dt <= 0 {
-		return nil, fmt.Errorf("smformat: V2 %s%s with non-positive DT %g", station, comp.Suffix(), dt)
-	}
-	if npts <= 0 {
-		return nil, fmt.Errorf("smformat: V2 %s%s has no samples", station, comp.Suffix())
-	}
-	wc, err := fsys.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("smformat: write %s: %w", path, err)
-	}
-	bw := bufio.NewWriter(wc)
-	werr := func() error {
-		if _, err := fmt.Fprintln(bw, v2Magic); err != nil {
-			return err
-		}
-		if err := writeHeader(bw, "STATION", station); err != nil {
-			return err
-		}
-		if err := writeHeader(bw, "COMPONENT", comp.String()); err != nil {
-			return err
-		}
-		if err := writeHeaderFloat(bw, "DT", dt); err != nil {
-			return err
-		}
-		if err := writeHeaderInt(bw, "NPTS", npts); err != nil {
-			return err
-		}
-		for _, hf := range []struct {
-			key string
-			val float64
-		}{
-			{"FSL", filter.FSL}, {"FPL", filter.FPL},
-			{"FPH", filter.FPH}, {"FSH", filter.FSH},
-			{"PGA", peaks.PGA}, {"TPGA", peaks.TimePGA},
-			{"PGV", peaks.PGV}, {"TPGV", peaks.TimePGV},
-			{"PGD", peaks.PGD}, {"TPGD", peaks.TimePGD},
-		} {
-			if err := writeHeaderFloat(bw, hf.key, hf.val); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
-	if werr != nil {
-		abortWriter(wc)
-		return nil, fmt.Errorf("smformat: write %s: %w", path, werr)
-	}
-	return &V2StreamWriter{wc: wc, bw: bw, npts: npts}, nil
-}
-
-// StartBlock begins the next payload block (ACCELERATION, VELOCITY,
-// DISPLACEMENT in order); the previous block must be complete.
-func (w *V2StreamWriter) StartBlock() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.vals != nil {
-		if err := w.vals.done(); err != nil {
-			w.err = err
-			return err
-		}
-	}
-	if w.block >= len(v2Blocks) {
-		w.err = fmt.Errorf("smformat: V2 stream has only %d blocks", len(v2Blocks))
-		return w.err
-	}
-	if err := writeHeader(w.bw, "BLOCK", v2Blocks[w.block]); err != nil {
-		w.err = err
-		return err
-	}
-	w.block++
-	w.vals = newValueBlockWriter(w.bw, w.npts)
-	return nil
-}
-
-// Value streams the next sample of the current block.
-func (w *V2StreamWriter) Value(v float64) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.vals == nil {
-		w.err = fmt.Errorf("smformat: V2 stream value before StartBlock")
-		return w.err
-	}
-	if err := w.vals.value(v); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
-}
-
-// Append streams a run of samples of the current block.
-func (w *V2StreamWriter) Append(vs []float64) error {
-	for _, v := range vs {
-		if err := w.Value(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close verifies all three blocks are complete, flushes, and publishes the
-// file; on any error the file is discarded.
-func (w *V2StreamWriter) Close() error {
-	err := w.err
-	if err == nil && w.block != len(v2Blocks) {
-		err = fmt.Errorf("smformat: V2 stream closed after %d of %d blocks", w.block, len(v2Blocks))
-	}
-	if err == nil {
-		err = w.vals.done()
-	}
-	if err == nil {
-		err = w.bw.Flush()
-	}
-	if err != nil {
-		abortWriter(w.wc)
-		return err
-	}
-	return w.wc.Close()
-}
-
-// Abort discards the partially written file.
-func (w *V2StreamWriter) Abort() { abortWriter(w.wc) }
-
 // chunkValues adapts a valueScanner to chunked reads of a fixed-length
 // block.
 type chunkValues struct {
@@ -457,70 +311,3 @@ func (r *V1ChunkReader) Read(buf []float64) (int, error) {
 
 // Close releases the underlying file.
 func (r *V1ChunkReader) Close() error { return r.rc.Close() }
-
-// V1ComponentChunkReader reads a per-component V1 file incrementally.
-type V1ComponentChunkReader struct {
-	Station   string
-	Component seismic.Component
-	DT        float64
-	NPTS      int
-
-	rc   io.ReadCloser
-	vals chunkValues
-}
-
-// OpenV1ComponentChunks opens path through fsys and parses the headers.
-func OpenV1ComponentChunks(fsys StreamFS, path string) (*V1ComponentChunkReader, error) {
-	rc, err := fsys.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("smformat: open %s: %w", path, err)
-	}
-	r := &V1ComponentChunkReader{rc: rc}
-	if err := r.parseHeaders(); err != nil {
-		rc.Close()
-		return nil, fmt.Errorf("smformat: parse %s: %w", path, err)
-	}
-	return r, nil
-}
-
-func (r *V1ComponentChunkReader) parseHeaders() error {
-	sc := newScanner(r.rc)
-	if !sc.Scan() || sc.Text() != v1CompMagic {
-		return fmt.Errorf("smformat: not a per-component V1 file (missing %q)", v1CompMagic)
-	}
-	h := &headerReader{sc: sc, line: 1}
-	var err error
-	if r.Station, err = h.expect("STATION"); err != nil {
-		return err
-	}
-	compName, err := h.expect("COMPONENT")
-	if err != nil {
-		return err
-	}
-	if r.Component, err = seismic.ParseComponent(compName); err != nil {
-		return err
-	}
-	if r.DT, err = h.expectFloat("DT"); err != nil {
-		return err
-	}
-	if r.NPTS, err = h.expectInt("NPTS"); err != nil {
-		return err
-	}
-	if r.NPTS <= 0 {
-		return fmt.Errorf("smformat: V1 component %s: NPTS %d must be positive", r.Station, r.NPTS)
-	}
-	if _, err = h.expect("UNITS"); err != nil {
-		return err
-	}
-	r.vals = chunkValues{vs: newValueScanner(sc, h.line), npts: r.NPTS}
-	return nil
-}
-
-// Read fills buf with up to len(buf) further samples; (0, io.EOF) at the
-// end.
-func (r *V1ComponentChunkReader) Read(buf []float64) (int, error) {
-	return r.vals.readChunk(buf)
-}
-
-// Close releases the underlying file.
-func (r *V1ComponentChunkReader) Close() error { return r.rc.Close() }

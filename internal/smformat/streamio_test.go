@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"accelproc/internal/dsp"
 	"accelproc/internal/seismic"
 )
 
@@ -85,82 +84,6 @@ func TestV1ComponentStreamWriterByteIdentity(t *testing.T) {
 	}
 }
 
-func TestV2StreamWriterByteIdentity(t *testing.T) {
-	fsys := testStreamFS{dir: t.TempDir()}
-	for _, npts := range []int{1, 4, 997} {
-		v := V2{
-			Station:   "ST02",
-			Component: seismic.Vertical,
-			DT:        0.01,
-			Filter:    dsp.BandPassSpec{FSL: 0.1, FPL: 0.25, FPH: 23, FSH: 25},
-			Peaks:     seismic.PeakValues{PGA: 1.5, TimePGA: 2, PGV: 0.5, TimePGV: 3, PGD: 0.1, TimePGD: 4},
-			Accel:     randomValues(npts, 1),
-			Vel:       randomValues(npts, 2),
-			Disp:      randomValues(npts, 3),
-		}
-		var want bytes.Buffer
-		if err := v.Write(&want); err != nil {
-			t.Fatal(err)
-		}
-		w, err := NewV2StreamWriter(fsys, "st02v.v2", v.Station, v.Component, v.DT, npts, v.Filter, v.Peaks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, block := range [][]float64{v.Accel, v.Vel, v.Disp} {
-			if err := w.StartBlock(); err != nil {
-				t.Fatal(err)
-			}
-			if err := feedChunks(block, w.Append); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := fsys.ReadFile("st02v.v2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("npts=%d: streamed V2 differs from batch write", npts)
-		}
-		// And it must parse back to the identical value.
-		parsed, err := ReadV2FileFS(fsys, "st02v.v2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parsed.Station != v.Station || parsed.Peaks != v.Peaks || parsed.Filter != v.Filter {
-			t.Fatalf("npts=%d: parsed V2 headers differ", npts)
-		}
-	}
-}
-
-func TestV2StreamWriterGuards(t *testing.T) {
-	fsys := testStreamFS{dir: t.TempDir()}
-	w, err := NewV2StreamWriter(fsys, "x.v2", "ST", seismic.Longitudinal, 0.01, 4, dsp.BandPassSpec{}, seismic.PeakValues{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Value(1); err == nil {
-		t.Error("value before StartBlock accepted")
-	}
-	w.Abort()
-
-	w, err = NewV2StreamWriter(fsys, "y.v2", "ST", seismic.Longitudinal, 0.01, 2, dsp.BandPassSpec{}, seismic.PeakValues{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.StartBlock(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err == nil {
-		t.Error("short close accepted")
-	}
-}
-
 func TestV1ChunkReaderMatchesParse(t *testing.T) {
 	fsys := testStreamFS{dir: t.TempDir()}
 	for _, npts := range []int{1, 5, 4096} {
@@ -211,42 +134,6 @@ func TestV1ChunkReaderMatchesParse(t *testing.T) {
 			t.Fatalf("after last component: %v, want io.EOF", err)
 		}
 		r.Close()
-	}
-}
-
-func TestV1ComponentChunkReaderMatchesParse(t *testing.T) {
-	fsys := testStreamFS{dir: t.TempDir()}
-	v := V1Component{Station: "CMP", Component: seismic.Longitudinal, DT: 0.01, Accel: randomValues(2049, 9)}
-	if err := WriteV1ComponentFileFS(fsys, "cmpl.v1", v); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenV1ComponentChunks(fsys, "cmpl.v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Station != v.Station || r.Component != v.Component || r.DT != v.DT || r.NPTS != len(v.Accel) {
-		t.Fatalf("chunk reader headers %+v", r)
-	}
-	var all []float64
-	buf := make([]float64, 100)
-	for {
-		n, err := r.Read(buf)
-		all = append(all, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(all) != len(v.Accel) {
-		t.Fatalf("%d samples, want %d", len(all), len(v.Accel))
-	}
-	for i := range all {
-		if all[i] != v.Accel[i] {
-			t.Fatalf("sample %d: %v != %v", i, all[i], v.Accel[i])
-		}
 	}
 }
 
