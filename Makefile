@@ -50,10 +50,11 @@ cache-ablation:
 	$(GO) test -count=1 -run 'ArtifactCache' ./internal/pipeline/...
 
 # Persistent action-cache suite: warm restarts must skip unchanged records
-# with byte-identical outputs on both storage backends, and a corrupted
-# cache entry (truncated blob) must degrade to recomputation, never error.
+# with byte-identical outputs on both storage backends, a corrupted cache
+# entry (truncated blob) must degrade to recomputation, never error, and
+# smproc -cache-fsck must find the hardlinked blobs clean.
 cache-persist:
-	$(GO) test -count=1 -run 'WarmRestart|PersistentCache|ActionCache' ./internal/pipeline/... ./internal/artifact/...
+	$(GO) test -count=1 -run 'WarmRestart|PersistentCache|ActionCache|CacheFsck' ./internal/pipeline/... ./internal/artifact/... ./cmd/smproc/
 
 # Crash-safety suite: the kill -9 crash matrix (subprocess SIGKILLs itself
 # at each durability point, resume must restore byte-identical outputs

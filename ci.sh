@@ -51,8 +51,8 @@ go test -race -count=1 -run 'Chaos|Partial|Quarantine|RetryOp|StageMove' ./inter
 echo "== cache ablation smoke (cached vs uncached outputs byte-identical, hits observed) =="
 go test -count=1 -run 'ArtifactCache' ./internal/pipeline/...
 
-echo "== cache persistence (warm restarts skip unchanged records; corrupted entries degrade to misses) =="
-go test -count=1 -run 'WarmRestart|PersistentCache|ActionCache' ./internal/pipeline/... ./internal/artifact/...
+echo "== cache persistence (warm restarts skip unchanged records; corrupted entries degrade to misses; -cache-fsck over linked blobs) =="
+go test -count=1 -run 'WarmRestart|PersistentCache|ActionCache|CacheFsck' ./internal/pipeline/... ./internal/artifact/... ./cmd/smproc/
 
 echo "== crash/resume (kill -9 matrix, journal replay, cache scrub) =="
 go test -count=1 -run 'CrashResume|CrashKills|CrashUnarmed|Resume|Journal|Scrub' ./internal/pipeline/... ./internal/faults/... ./internal/artifact/...

@@ -30,6 +30,15 @@ import (
 // kernels read — and its output files are stored content-addressed under a
 // cache root.  Rerunning a stage whose digest is already present restores
 // the recorded bytes instead of recomputing them.
+//
+// Work-directory products move in and out of the cache by hardlink, not by
+// copy: Put links each product to its content address and RestoreInto links
+// each blob back, leaving alone a product that already holds the recorded
+// bytes.  This is sound because the workspace never rewrites a file in
+// place (see storage.Workspace): rewriting a product binds a fresh inode and
+// leaves the blob it shared untouched.  Where the filesystem refuses a link
+// (another device, an in-memory workspace over disk files, the chaos
+// decorator) the bytes are copied instead.
 
 // ActionID is the digest identifying one cached action.
 type ActionID [sha256.Size]byte
@@ -98,22 +107,29 @@ func (h *Hasher) Sum() ActionID {
 // CacheFS is the filesystem surface the action cache persists through: the
 // subset of storage.Workspace it needs, declared locally so this package
 // stays importable from internal/storage-free contexts.  storage.Workspace
-// satisfies it structurally.
+// satisfies it structurally.  Link may refuse with any error; the cache
+// then copies bytes instead.  Sum is the content SHA-256 and size of a
+// regular file.
 type CacheFS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	ReadFile(path string) ([]byte, error)
 	WriteFile(path string, data []byte, perm os.FileMode) error
 	Remove(path string) error
+	Rename(oldpath, newpath string) error
+	Link(oldpath, newpath string) error
 	Stat(path string) (fs.FileInfo, error)
 	List(dir string) ([]fs.DirEntry, error)
+	Sum(path string) (sum [sha256.Size]byte, size int64, ok bool)
 }
 
-// Blob is one output file of an action: its name relative to the work
-// directory (or a "@"-prefixed side-channel name the caller interprets) and
-// its exact bytes.
+// Blob is one output of an action: its name relative to the work directory
+// (or a "@"-prefixed side-channel name the caller interprets), and either
+// its exact bytes in Data or, when Path is set, the file holding them.  Put
+// hardlinks a Path blob into the cache instead of copying its bytes.
 type Blob struct {
 	Name string
 	Data []byte
+	Path string
 }
 
 // manifestOut is one output line of a persisted action manifest.
@@ -379,65 +395,196 @@ func (c *ActionCache) SetCounters(hits, misses, evicts *obs.Counter, bytes *obs.
 func (c *ActionCache) hit()  { c.nHits++; c.hits.Add(1) }
 func (c *ActionCache) miss() { c.nMisses++; c.misses.Add(1) }
 
-// Restore looks up id and, on a hit, feeds every recorded output through
-// write in manifest order.  It returns (false, nil) on a miss; any damaged
-// entry — blob unreadable, size short of the manifest (a truncated blob),
-// or, under verify, a checksum mismatch — is dropped and reported as a miss,
-// so cache corruption can only cost recomputation.  An error from write is
-// returned as-is: by then the entry itself proved sound, and the caller's
-// workspace failed.
-func (c *ActionCache) Restore(id ActionID, write func(name string, data []byte) error) (bool, error) {
-	if c == nil {
-		return false, nil
-	}
+// open is the cache's one validating read path.  It looks id up, freshens
+// its LRU position, and checks every blob the entry names: present at the
+// recorded size (one Stat each) and, under verify, hashing to the recorded
+// sum.  A damaged entry is dropped and counted as a miss, so cache
+// corruption can only cost recomputation.  The caller counts the hit once
+// it has delivered the outputs.
+func (c *ActionCache) open(id ActionID) ([]manifestOut, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[id]
 	if !ok {
 		c.miss()
 		c.mu.Unlock()
-		return false, nil
+		return nil, false
 	}
 	e := el.Value.(*actionEntry)
 	c.lru.MoveToBack(el)
 	c.mu.Unlock()
+	for _, out := range e.outs {
+		if !c.blobSound(out) {
+			c.damaged(id)
+			return nil, false
+		}
+	}
+	return e.outs, true
+}
 
-	// Read every blob before writing anything, so a damaged entry never
-	// leaves a half-restored work directory behind.
-	bufs := make([][]byte, len(e.outs))
-	for i, out := range e.outs {
+// damaged drops entry id and counts its lookup as a miss.
+func (c *ActionCache) damaged(id ActionID) {
+	c.dropEntry(id)
+	c.mu.Lock()
+	c.miss()
+	c.bytesGauge.Set(float64(c.bytes))
+	c.mu.Unlock()
+}
+
+// blobSound reports whether out's blob is present at its recorded size and,
+// under verify, holds bytes hashing to its recorded sum.
+func (c *ActionCache) blobSound(out manifestOut) bool {
+	path := c.blobPath(out.sum)
+	if !c.verify {
+		info, err := c.fsys.Stat(path)
+		return err == nil && info.Size() == out.size
+	}
+	data, err := c.fsys.ReadFile(path)
+	return err == nil && int64(len(data)) == out.size && sha256.Sum256(data) == out.sum
+}
+
+// countHit records one delivered restore.
+func (c *ActionCache) countHit() {
+	c.mu.Lock()
+	c.hit()
+	c.mu.Unlock()
+}
+
+// Restore looks up id and, on a hit, feeds every recorded output's bytes
+// through write in manifest order.  It returns (false, nil) on a miss; a
+// damaged entry — blob missing, size short of the manifest (a truncated
+// blob), or, under verify, a checksum mismatch — is dropped and reported as
+// a miss.  Every blob is read before write sees any, and an error from
+// reading or from write is returned as-is: by then the entry itself proved
+// sound.
+func (c *ActionCache) Restore(id ActionID, write func(name string, data []byte) error) (bool, error) {
+	if c == nil {
+		return false, nil
+	}
+	outs, ok := c.open(id)
+	if !ok {
+		return false, nil
+	}
+	bufs := make([][]byte, len(outs))
+	for i, out := range outs {
 		data, err := c.fsys.ReadFile(c.blobPath(out.sum))
-		if err != nil || int64(len(data)) != out.size ||
-			(c.verify && sha256.Sum256(data) != out.sum) {
-			c.dropEntry(id)
-			c.mu.Lock()
-			c.miss()
-			c.bytesGauge.Set(float64(c.bytes))
-			c.mu.Unlock()
-			return false, nil
+		if err != nil {
+			return false, err
 		}
 		bufs[i] = data
 	}
-	for i, out := range e.outs {
+	for i, out := range outs {
 		if err := write(out.name, bufs[i]); err != nil {
 			return false, err
 		}
 	}
-	c.mu.Lock()
-	c.hit()
-	c.mu.Unlock()
+	c.countHit()
 	return true, nil
 }
 
-// Put records outs as the outputs of action id: missing blobs are written
-// content-addressed, the manifest lands last (so a crash mid-Put leaves
-// orphan blobs the next load sweeps, never a manifest naming absent blobs),
-// and the LRU bound is enforced.  Storing an already-present id only
-// freshens its LRU position.  Persistence failures leave the cache
-// consistent and are returned for the caller to ignore or log — a failed
-// Put costs a future recomputation, nothing else.
+// RestoreInto restores action id without moving bytes: each file output is
+// placed at its name under dir, and each "@"-prefixed side-channel output is
+// read and handed to side.  A product that already holds the recorded bytes
+// is left alone.  Any other is replaced by a hardlink of its blob, made
+// under a sibling temp name and renamed into place so the product path only
+// ever holds a complete file; a refused link falls back to a byte copy.
+// Hits, misses and damaged entries behave as in Restore.  An error placing
+// a file or from side is returned as-is, and may leave some outputs placed:
+// the caller recomputes them.
+func (c *ActionCache) RestoreInto(id ActionID, dir string, side func(name string, data []byte) error) (bool, error) {
+	if c == nil {
+		return false, nil
+	}
+	outs, ok := c.open(id)
+	if !ok {
+		return false, nil
+	}
+	// Plan before touching dir.  A product that exists but differs from its
+	// blob may be that blob, edited in place through the inode they share,
+	// so the blob must still hold its recorded bytes before it is linked
+	// anywhere; if not, the entry is damaged.
+	place := make([]bool, len(outs))
+	for i, out := range outs {
+		if strings.HasPrefix(out.name, "@") {
+			continue
+		}
+		have, _, exists := c.fsys.Sum(filepath.Join(dir, out.name))
+		if exists && have == out.sum {
+			continue
+		}
+		if exists {
+			if blob, _, ok := c.fsys.Sum(c.blobPath(out.sum)); !ok || blob != out.sum {
+				c.damaged(id)
+				return false, nil
+			}
+		}
+		place[i] = true
+	}
+	for i, out := range outs {
+		blob := c.blobPath(out.sum)
+		switch {
+		case place[i]:
+			if err := c.place(filepath.Join(dir, out.name), blob); err != nil {
+				return false, err
+			}
+		case strings.HasPrefix(out.name, "@"):
+			data, err := c.fsys.ReadFile(blob)
+			if err != nil {
+				return false, err
+			}
+			if err := side(out.name, data); err != nil {
+				return false, err
+			}
+		}
+	}
+	c.countHit()
+	return true, nil
+}
+
+// place puts a hardlink of blob at dst via a sibling temp name, or a copy
+// of its bytes when the link is refused.
+func (c *ActionCache) place(dst, blob string) error {
+	tmp := dst + ".tmp"
+	// The temp name never outlives placement: a temp file left by an
+	// interrupted run makes the link refuse, and rename(2) between two
+	// names of one inode succeeds without removing the source name.
+	defer c.fsys.Remove(tmp)
+	if err := c.fsys.Link(blob, tmp); err == nil {
+		return c.fsys.Rename(tmp, dst)
+	}
+	data, err := c.fsys.ReadFile(blob)
+	if err != nil {
+		return err
+	}
+	return c.fsys.WriteFile(dst, data, 0o644)
+}
+
+// Put records outs as the outputs of action id: missing blobs are stored
+// content-addressed (Path blobs by hardlink, see storeBlob), the manifest
+// lands last (so a crash mid-Put leaves orphan blobs the next load sweeps,
+// never a manifest naming absent blobs), and the LRU bound is enforced.
+// Storing an already-present id only freshens its LRU position.
+// Persistence failures, and a Path blob whose file changed while it was
+// being stored, leave the cache consistent and unchanged and are returned
+// for the caller to ignore or log — a failed Put costs a future
+// recomputation, nothing else.
 func (c *ActionCache) Put(id ActionID, outs []Blob) error {
 	if c == nil {
 		return nil
+	}
+	// Content sums are taken before the lock: a Path blob's comes from the
+	// workspace, which serves a file this process wrote from its stat memo.
+	e := &actionEntry{id: id, outs: make([]manifestOut, len(outs))}
+	for i, b := range outs {
+		out := &e.outs[i]
+		out.name = b.Name
+		if b.Path == "" {
+			out.sum, out.size = sha256.Sum256(b.Data), int64(len(b.Data))
+			continue
+		}
+		var ok bool
+		if out.sum, out.size, ok = c.fsys.Sum(b.Path); !ok {
+			return fmt.Errorf("artifact: put %s: %s is not a regular file", b.Name, b.Path)
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -445,20 +592,22 @@ func (c *ActionCache) Put(id ActionID, outs []Blob) error {
 		c.lru.MoveToBack(el)
 		return nil
 	}
-	e := &actionEntry{id: id, outs: make([]manifestOut, len(outs))}
 	written := make(map[[sha256.Size]byte]bool, len(outs))
-	for i, b := range outs {
-		sum := sha256.Sum256(b.Data)
-		e.outs[i] = manifestOut{name: b.Name, size: int64(len(b.Data)), sum: sum}
-		if _, have := c.blobs[sum]; !have && !written[sum] {
-			if err := c.fsys.WriteFile(c.blobPath(sum), b.Data, 0o644); err != nil {
-				for w := range written {
-					_ = c.fsys.Remove(c.blobPath(w))
-				}
-				return err
-			}
-			written[sum] = true
+	undo := func() {
+		for w := range written {
+			_ = c.fsys.Remove(c.blobPath(w))
 		}
+	}
+	for i, b := range outs {
+		sum := e.outs[i].sum
+		if _, have := c.blobs[sum]; have || written[sum] {
+			continue
+		}
+		if err := c.storeBlob(b, e.outs[i]); err != nil {
+			undo()
+			return err
+		}
+		written[sum] = true
 	}
 	// The crash points bracket the cache's durability boundary: dying before
 	// the manifest write leaves only orphan blobs (swept at next open), dying
@@ -466,9 +615,7 @@ func (c *ActionCache) Put(id ActionID, outs []Blob) error {
 	// crash matrix in internal/pipeline.
 	faults.Crash(faults.CrashManifestPut)
 	if err := c.fsys.WriteFile(c.manifestPath(id), formatManifest(e.outs), 0o644); err != nil {
-		for w := range written {
-			_ = c.fsys.Remove(c.blobPath(w))
-		}
+		undo()
 		return err
 	}
 	faults.Crash(faults.CrashManifestPutDone)
@@ -479,6 +626,38 @@ func (c *ActionCache) Put(id ActionID, outs []Blob) error {
 	c.evictLocked()
 	c.bytesGauge.Set(float64(c.bytes))
 	return nil
+}
+
+// storeBlob lands one output at its content address.  A Data blob is
+// written.  A Path blob is hardlinked, then checked: if the linked file no
+// longer hashes to the sum Put recorded (the source changed between Sum and
+// Link), the link is removed and Put fails rather than file different bytes
+// under that sum.  A refused link falls back to copying the bytes, which
+// are checked the same way.
+func (c *ActionCache) storeBlob(b Blob, out manifestOut) error {
+	dst := c.blobPath(out.sum)
+	if b.Path == "" {
+		return c.fsys.WriteFile(dst, b.Data, 0o644)
+	}
+	if err := c.fsys.Link(b.Path, dst); err == nil {
+		if sum, _, ok := c.fsys.Sum(dst); ok && sum == out.sum {
+			return nil
+		}
+		_ = c.fsys.Remove(dst)
+		return errChanged(b)
+	}
+	data, err := c.fsys.ReadFile(b.Path)
+	if err != nil {
+		return err
+	}
+	if sha256.Sum256(data) != out.sum {
+		return errChanged(b)
+	}
+	return c.fsys.WriteFile(dst, data, 0o644)
+}
+
+func errChanged(b Blob) error {
+	return fmt.Errorf("artifact: put %s: %s changed while it was stored", b.Name, b.Path)
 }
 
 // evictLocked removes least-recently-used entries until the blob bytes fit

@@ -1,10 +1,15 @@
 package artifact
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"accelproc/internal/obs"
 	"accelproc/internal/storage"
@@ -387,5 +392,336 @@ func TestHasherFieldBoundaries(t *testing.T) {
 	s2.String("x")
 	if s1.Sum() == s2.Sum() {
 		t.Fatal("scheme not folded into the digest")
+	}
+}
+
+// restoreInto runs a linked restore into dir, collecting side-channel
+// outputs into a map.
+func restoreInto(t *testing.T, c *ActionCache, id ActionID, dir string) (map[string]string, bool) {
+	t.Helper()
+	side := map[string]string{}
+	ok, err := c.RestoreInto(id, dir, func(name string, data []byte) error {
+		side[name] = string(data)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("RestoreInto: %v", err)
+	}
+	return side, ok
+}
+
+// readString reads path through fsys.
+func readString(t *testing.T, fsys CacheFS, path string) string {
+	t.Helper()
+	data, err := fsys.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// assertNoTmp fails if any listed directory holds a *.tmp file.
+func assertNoTmp(t *testing.T, fsys CacheFS, dirs ...string) {
+	t.Helper()
+	for _, dir := range dirs {
+		entries, err := fsys.List(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ".tmp") {
+				t.Errorf("stray temp file %s", filepath.Join(dir, e.Name()))
+			}
+		}
+	}
+}
+
+func TestActionCacheLinkedRestoreSurvivesRewrite(t *testing.T) {
+	cacheBackends(t, func(t *testing.T, fsys CacheFS, root string) {
+		ws := fsys.(storage.Workspace)
+		dir := filepath.Dir(root)
+		c, err := NewActionCache(fsys, root, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const recorded = "recorded product bytes"
+		product := filepath.Join(dir, "a.v2")
+		if err := ws.WriteFile(product, []byte(recorded), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		id := testID("linked")
+		if err := c.Put(id, []Blob{{Name: "a.v2", Path: product}, {Name: "@side", Data: []byte("side")}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Remove(product); err != nil {
+			t.Fatal(err)
+		}
+		if side, ok := restoreInto(t, c, id, dir); !ok || side["@side"] != "side" {
+			t.Fatalf("linked restore: ok=%v side=%v", ok, side)
+		}
+		if got := readString(t, fsys, product); got != recorded {
+			t.Fatalf("restored product %q", got)
+		}
+		// The restored product shares the blob's bytes.  Rewriting it
+		// through either write path must bind a fresh file and leave the
+		// blob as recorded, so the next restore brings the bytes back.
+		rewrites := []struct {
+			name string
+			fn   func() error
+		}{
+			{"WriteFile", func() error { return ws.WriteFile(product, []byte("rewritten by WriteFile"), 0o644) }},
+			{"Create", func() error {
+				w, err := ws.Create(product)
+				if err != nil {
+					return err
+				}
+				if _, err := w.Write([]byte("rewritten by Create")); err != nil {
+					return err
+				}
+				return w.Close()
+			}},
+		}
+		for _, rw := range rewrites {
+			if err := rw.fn(); err != nil {
+				t.Fatalf("%s: %v", rw.name, err)
+			}
+			if got, ok := restoreAll(t, c, id); !ok || got["a.v2"] != recorded {
+				t.Fatalf("after %s the blob holds %q (ok=%v)", rw.name, got["a.v2"], ok)
+			}
+			if _, ok := restoreInto(t, c, id, dir); !ok {
+				t.Fatalf("after %s: restore missed", rw.name)
+			}
+			if got := readString(t, fsys, product); got != recorded {
+				t.Fatalf("after %s the restore left %q", rw.name, got)
+			}
+		}
+		assertNoTmp(t, fsys, dir, filepath.Join(root, "blobs"))
+	})
+}
+
+func TestActionCacheRestoreOntoEditedLinkLeavesNoTmp(t *testing.T) {
+	cacheBackends(t, func(t *testing.T, fsys CacheFS, root string) {
+		ws := fsys.(storage.Workspace)
+		dir := filepath.Dir(root)
+		c, err := NewActionCache(fsys, root, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		product := filepath.Join(dir, "a.v2")
+		if err := ws.WriteFile(product, []byte("aaaaaaaa"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		id := testID("edited")
+		if err := c.Put(id, []Blob{{Name: "a.v2", Path: product}}); err != nil {
+			t.Fatal(err)
+		}
+		// Edit the product in place, behind the workspace's back: the blob
+		// shares its bytes, so both change.
+		switch ws.(type) {
+		case storage.OS:
+			f, err := os.OpenFile(product, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte("bbbbbbbb"), 0); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			// Move mtime explicitly so the edit shows in the stat
+			// fingerprint even within one timestamp tick.
+			later := time.Now().Add(time.Second)
+			if err := os.Chtimes(product, later, later); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if err := ws.Append(product, []byte("b"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The product now differs from its manifest sum, and so does the
+		// blob: the restore must see the damage instead of linking the blob
+		// back over itself.
+		if _, ok := restoreInto(t, c, id, dir); ok {
+			t.Fatal("restored a blob edited through its product")
+		}
+		if c.Len() != 0 {
+			t.Fatalf("damaged entry not dropped, Len = %d", c.Len())
+		}
+		assertNoTmp(t, fsys, dir, filepath.Join(root, "blobs"))
+	})
+}
+
+func TestActionCachePlaceOntoOwnLinkLeavesNoTmp(t *testing.T) {
+	cacheBackends(t, func(t *testing.T, fsys CacheFS, root string) {
+		dir := filepath.Dir(root)
+		c, err := NewActionCache(fsys, root, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := filepath.Join(root, "blobs", "b")
+		product := filepath.Join(dir, "a.v2")
+		if err := fsys.WriteFile(blob, []byte("blob bytes"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := fsys.Link(blob, product); err != nil {
+			t.Fatal(err)
+		}
+		// rename(2) between two names of one inode succeeds and does
+		// nothing; the temp name must still go.
+		if err := c.place(product, blob); err != nil {
+			t.Fatal(err)
+		}
+		if got := readString(t, fsys, product); got != "blob bytes" {
+			t.Fatalf("product holds %q", got)
+		}
+		assertNoTmp(t, fsys, dir)
+	})
+}
+
+// refuseLinkFS is a CacheFS whose Link always fails with err.
+type refuseLinkFS struct {
+	CacheFS
+	err func(oldpath, newpath string) error
+}
+
+func (f refuseLinkFS) Link(oldpath, newpath string) error { return f.err(oldpath, newpath) }
+
+func TestActionCacheCopyFallback(t *testing.T) {
+	refusals := map[string]func(oldpath, newpath string) error{
+		"unsupported": func(string, string) error { return storage.ErrLinkUnsupported },
+		"exdev": func(oldpath, newpath string) error {
+			return &os.LinkError{Op: "link", Old: oldpath, New: newpath, Err: syscall.EXDEV}
+		},
+	}
+	for name, refuse := range refusals {
+		t.Run(name, func(t *testing.T) {
+			cacheBackends(t, func(t *testing.T, base CacheFS, root string) {
+				fsys := refuseLinkFS{CacheFS: base, err: refuse}
+				dir := filepath.Dir(root)
+				c, err := NewActionCache(fsys, root, 0, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Three actions, two of them with the same output bytes.
+				want := map[string]string{"a.v2": "first product", "b.v2": "second product", "c.v2": "first product"}
+				names := []string{"a.v2", "b.v2", "c.v2"}
+				for _, n := range names {
+					p := filepath.Join(dir, n)
+					if err := fsys.WriteFile(p, []byte(want[n]), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if err := c.Put(testID(n), []Blob{{Name: n, Path: p}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// The warm rerun: a reopened cache, one product missing, one
+				// rewritten, one in place.
+				if err := fsys.Remove(filepath.Join(dir, "a.v2")); err != nil {
+					t.Fatal(err)
+				}
+				if err := fsys.WriteFile(filepath.Join(dir, "b.v2"), []byte("stale"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				warm, err := NewActionCache(fsys, root, 0, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range names {
+					if _, ok := restoreInto(t, warm, testID(n), dir); !ok {
+						t.Fatalf("%s missed", n)
+					}
+					if got := readString(t, fsys, filepath.Join(dir, n)); got != want[n] {
+						t.Errorf("%s restored as %q, want %q", n, got, want[n])
+					}
+				}
+				if hits, misses, _ := warm.Counts(); hits != 3 || misses != 0 {
+					t.Fatalf("warm counts %d/%d, want 3 hits / 0 misses", hits, misses)
+				}
+				assertNoTmp(t, fsys, dir, filepath.Join(root, "blobs"))
+			})
+		})
+	}
+}
+
+// staleSumFS is a CacheFS whose Sum reports a fixed sum for one path: the
+// file changed after the caller hashed it.
+type staleSumFS struct {
+	CacheFS
+	path string
+	sum  [sha256.Size]byte
+}
+
+func (f staleSumFS) Sum(path string) ([sha256.Size]byte, int64, bool) {
+	sum, size, ok := f.CacheFS.Sum(path)
+	if path == f.path {
+		sum = f.sum
+	}
+	return sum, size, ok
+}
+
+func TestActionCachePutSourceChangedStoresNothing(t *testing.T) {
+	for _, link := range []string{"link", "copy"} {
+		t.Run(link, func(t *testing.T) {
+			cacheBackends(t, func(t *testing.T, base CacheFS, root string) {
+				product := filepath.Join(filepath.Dir(root), "a.v2")
+				if err := base.WriteFile(product, []byte("new bytes"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				var fsys CacheFS = staleSumFS{CacheFS: base, path: product, sum: sha256.Sum256([]byte("old bytes"))}
+				if link == "copy" {
+					fsys = refuseLinkFS{CacheFS: fsys, err: func(string, string) error { return storage.ErrLinkUnsupported }}
+				}
+				c, err := NewActionCache(fsys, root, 0, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id := testID("changed")
+				if err := c.Put(id, []Blob{{Name: "@side", Data: []byte("side")}, {Name: "a.v2", Path: product}}); err == nil {
+					t.Fatal("Put of a changed source succeeded")
+				}
+				if c.Len() != 0 || c.Bytes() != 0 {
+					t.Fatalf("failed Put left Len=%d Bytes=%d", c.Len(), c.Bytes())
+				}
+				for _, sub := range []string{"actions", "blobs"} {
+					if entries, err := fsys.List(filepath.Join(root, sub)); err != nil || len(entries) != 0 {
+						t.Fatalf("failed Put left %s: %v %v", sub, entries, err)
+					}
+				}
+				if _, ok := restoreInto(t, c, id, filepath.Dir(root)); ok {
+					t.Fatal("restored an action whose Put failed")
+				}
+			})
+		})
+	}
+}
+
+func TestActionCacheRestoreLeavesMatchingProductAlone(t *testing.T) {
+	root := filepath.Join(t.TempDir(), ".smcache")
+	dir := filepath.Dir(root)
+	c, err := NewActionCache(storage.OS{}, root, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := testID("in place")
+	if err := c.Put(id, []Blob{{Name: "a.v2", Data: []byte("product bytes")}}); err != nil {
+		t.Fatal(err)
+	}
+	product := filepath.Join(dir, "a.v2")
+	if err := (storage.OS{}).WriteFile(product, []byte("product bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(product)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := restoreInto(t, c, id, dir); !ok {
+		t.Fatal("restore missed")
+	}
+	after, err := os.Stat(product)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("a product already holding the recorded bytes was replaced")
 	}
 }

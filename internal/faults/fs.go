@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"crypto/sha256"
 	"io"
 	"io/fs"
 	"os"
@@ -119,7 +120,7 @@ func (e *injectedError) Unwrap() error { return e.err }
 // a partial write that a retry must overwrite.
 //
 // Only the seven staging operations are fault sites.  The Workspace
-// extensions (Open, List, Generation, Materialize, ResidentBytes) pass
+// extensions (Open, List, Generation, Sum, Materialize, ResidentBytes) pass
 // through untouched, and Link always refuses so chaos runs take the real
 // read+write copy path the injector can see — keeping the set of decisions
 // per seed identical to the pre-storage-plane protocol.
@@ -223,6 +224,8 @@ func (f chaosFS) Create(path string) (io.WriteCloser, error) { return f.c.base.C
 func (f chaosFS) List(dir string) ([]fs.DirEntry, error) { return f.c.base.List(dir) }
 
 func (f chaosFS) Generation(path string) (any, int64, bool) { return f.c.base.Generation(path) }
+
+func (f chaosFS) Sum(path string) ([sha256.Size]byte, int64, bool) { return f.c.base.Sum(path) }
 
 func (f chaosFS) Materialize(dir string) error { return f.c.base.Materialize(dir) }
 

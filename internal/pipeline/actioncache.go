@@ -7,6 +7,7 @@ import (
 
 	"accelproc/internal/artifact"
 	"accelproc/internal/dsp"
+	"accelproc/internal/obs"
 	"accelproc/internal/seismic"
 	"accelproc/internal/smformat"
 )
@@ -14,7 +15,9 @@ import (
 // This file gives the dataflow scheduler its action-cache skip rule: every
 // per-(record,process) node is keyed by a digest of (scheme, process id,
 // station, input artifact contents, and the Options parameters the node's
-// kernels read), following the build-action scheme of cmd/go.  A node whose
+// kernels read), following the build-action scheme of cmd/go.  An input
+// contributes its name, content SHA-256 and size, taken from the workspace's
+// Sum (one stat for a file this process wrote), never its bytes.  A node whose
 // digest is already in the cache restores its recorded outputs instead of
 // running; re-submitting an event with one changed station therefore redoes
 // only that record's subgraph, because no other record's digests moved.
@@ -43,8 +46,9 @@ import (
 // actionScheme versions the digest layout; bump on any change to the hashed
 // fields so entries from older binaries can never alias.  v2: process #3
 // hashes the station's actual input file (any ingest format) plus the
-// -format override and QC configuration instead of assuming <st>.v1.
-const actionScheme = "accelproc/action/v2"
+// -format override and QC configuration instead of assuming <st>.v1.  v3:
+// input files are folded in as (name, content sum, size), not their bytes.
+const actionScheme = "accelproc/action/v3"
 
 // Side-channel blob names; "@" keeps them disjoint from real file names.
 const (
@@ -115,16 +119,17 @@ func componentNames(name func(string, seismic.Component) string, st string) []st
 	return out
 }
 
-// hashFiles folds the named work-directory files (name, then content) into
-// the digest; false if any is unreadable.
+// hashFiles folds the named work-directory files (name, content sum, size)
+// into the digest; false if any is not a regular file.
 func (b *dfBuild) hashFiles(h *artifact.Hasher, names ...string) bool {
 	for _, name := range names {
-		data, err := b.s.ws.ReadFile(b.s.path(name))
-		if err != nil {
+		sum, size, ok := b.s.ws.Sum(b.s.path(name))
+		if !ok {
 			return false
 		}
 		h.String("file:" + name)
-		h.Bytes(data)
+		h.Bytes(sum[:])
+		h.Int(size)
 	}
 	return true
 }
@@ -192,13 +197,13 @@ func nodeOutputNames(pid ProcessID, st string) []string {
 }
 
 // restoreNode attempts to satisfy one per-record node from the action
-// cache: real outputs are written back into the work directory, side-channel
-// blobs into the build's fragment state.  Any failure — miss, damaged entry,
-// or a workspace write error — reports false and the node executes normally
-// (a real write error will then resurface from the body itself).
-func (b *dfBuild) restoreNode(id artifact.ActionID, pid ProcessID, i int, st string) bool {
-	s := b.s
-	write := func(name string, data []byte) error {
+// cache: real outputs are linked back into the work directory (see
+// ActionCache.RestoreInto), side-channel blobs decoded into the build's
+// fragment state.  Any failure — miss, damaged entry, or a workspace error —
+// reports false and the node executes normally (a real write error will
+// then resurface from the body itself).
+func (b *dfBuild) restoreNode(id artifact.ActionID, pid ProcessID, i int) bool {
+	side := func(name string, data []byte) error {
 		switch name {
 		case sideMaxValues:
 			mv, err := smformat.ParseMaxValues(bytes.NewReader(data))
@@ -220,10 +225,10 @@ func (b *dfBuild) restoreNode(id artifact.ActionID, pid ProcessID, i int, st str
 			b.picked[i] = true
 			return nil
 		default:
-			return s.ws.WriteFile(s.path(name), data, 0o644)
+			return fmt.Errorf("pipeline: unknown side-channel blob %q", name)
 		}
 	}
-	restored, err := s.acache.Restore(id, write)
+	restored, err := b.s.acache.RestoreInto(id, b.s.dir, side)
 	return err == nil && restored
 }
 
@@ -286,11 +291,12 @@ func (b *dfBuild) encodeSide(pid ProcessID, i int) ([]byte, bool) {
 
 // journalNodeDone appends one node-done record to the run journal (a no-op
 // when journaling is off), carrying the side-channel payload the node's
-// join consumes.
-func (b *dfBuild) journalNodeDone(pid ProcessID, st string, i int) {
+// join consumes, under a journal.append task span of the node's span.
+func (b *dfBuild) journalNodeDone(node *obs.Span, pid ProcessID, st string, i int) {
 	if b.s.journal == nil {
 		return
 	}
+	defer node.Child("journal.append", obs.KindTask).End()
 	side, ok := b.encodeSide(pid, i)
 	if !ok {
 		return
@@ -299,18 +305,17 @@ func (b *dfBuild) journalNodeDone(pid ProcessID, st string, i int) {
 }
 
 // storeNode records one successfully executed per-record node's outputs
-// under its action digest.  Best-effort in every direction: an unreadable
-// output or a failed Put just forfeits a future hit.
-func (b *dfBuild) storeNode(id artifact.ActionID, pid ProcessID, i int, st string) {
+// under its action digest, handing Put the product paths to link rather
+// than their bytes, under an artifact.put task span of the node's span.
+// Best-effort in every direction: a missing output or a failed Put just
+// forfeits a future hit.
+func (b *dfBuild) storeNode(node *obs.Span, id artifact.ActionID, pid ProcessID, i int, st string) {
+	defer node.Child("artifact.put", obs.KindTask).End()
 	s := b.s
 	names := nodeOutputNames(pid, st)
 	blobs := make([]artifact.Blob, 0, len(names)+1)
 	for _, name := range names {
-		data, err := s.ws.ReadFile(s.path(name))
-		if err != nil {
-			return
-		}
-		blobs = append(blobs, artifact.Blob{Name: name, Data: data})
+		blobs = append(blobs, artifact.Blob{Name: name, Path: s.path(name)})
 	}
 	switch pid {
 	case PDefaultFilter, PCorrectedFilter:

@@ -385,12 +385,12 @@ func (b *dfBuild) add(pid ProcessID, station string, inner func() error, deps, s
 		// inputs, params) is cached restores its recorded outputs instead of
 		// executing (see actioncache.go).
 		aid, cacheable := b.nodeAction(pid, station)
-		if cacheable && b.restoreNode(aid, pid, b.stationIndex(station), station) {
+		if cacheable && b.restoreNode(aid, pid, b.stationIndex(station)) {
 			d := s.now() - start
 			b.durs[id] = d
-			b.journalNodeDone(pid, station, b.stationIndex(station))
 			sp := s.runSpan.Child("node:"+label, obs.KindTask,
 				append(attrs, obs.String("action_cache", "hit"))...)
+			b.journalNodeDone(sp, pid, station, b.stationIndex(station))
 			sp.EndCharged(d)
 			return nil
 		}
@@ -411,12 +411,14 @@ func (b *dfBuild) add(pid ProcessID, station string, inner func() error, deps, s
 			// record *during* the body, in which case its outputs are partial
 			// or gone and must not be recorded as this digest's results.
 			if !s.isQuarantined(station) {
+				// The Put and the journal append run after d was taken, so
+				// each opens a task span of its own under the node's span.
 				if cacheable {
-					b.storeNode(aid, pid, b.stationIndex(station), station)
+					b.storeNode(sp, aid, pid, b.stationIndex(station), station)
 				}
 				// Journal the node *after* its outputs landed: the record is
 				// the durability acknowledgment the resume validation trusts.
-				b.journalNodeDone(pid, station, b.stationIndex(station))
+				b.journalNodeDone(sp, pid, station, b.stationIndex(station))
 			}
 		}
 		sp.EndCharged(d)

@@ -2,11 +2,17 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
+	"accelproc/internal/artifact"
 	"accelproc/internal/obs"
+	"accelproc/internal/seismic"
 	"accelproc/internal/smformat"
 	"accelproc/internal/storage"
 	"accelproc/internal/synth"
@@ -256,5 +262,173 @@ func TestParseCacheFlag(t *testing.T) {
 		if got != c.want {
 			t.Errorf("ParseCacheFlag(%q) = %+v, want %+v", c.in, got, c.want)
 		}
+	}
+}
+
+// assertNoTmpFiles fails if any *.tmp file survives anywhere under dir.
+func assertNoTmpFiles(t *testing.T, dir string) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".tmp") {
+			t.Errorf("stray temp file %s", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmRestartRewrittenProductsRestore rewrites cached products after a
+// cold run, through both workspace write paths.  Put linked those products
+// into the cache, so the rewrites must leave every blob intact (the scrub
+// stays clean) and a warm rerun must bring the recorded bytes back from
+// full hits.
+func TestWarmRestartRewrittenProductsRestore(t *testing.T) {
+	for _, backend := range []storage.Backend{storage.BackendFS, storage.BackendMem} {
+		t.Run(string(backend), func(t *testing.T) {
+			ctx := context.Background()
+			dir := filepath.Join(t.TempDir(), "work")
+			preparePersistDir(t, dir, "")
+			if _, err := Run(ctx, dir, Pipelined, persistOptions(backend)); err != nil {
+				t.Fatal(err)
+			}
+			coldRef := productHashes(t, dir)
+
+			ws, err := storage.New(backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2 := filepath.Join(dir, smformat.V2FileName("SS03", seismic.Components[0]))
+			if err := ws.WriteFile(v2, []byte("rewritten by WriteFile\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, err := ws.Create(filepath.Join(dir, smformat.ResponseFileName("SS05", seismic.Components[1])))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Write([]byte("rewritten by Create\n")); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ws.Materialize(dir); err != nil {
+				t.Fatal(err)
+			}
+			if r, err := artifact.Scrub(storage.Disk(), filepath.Join(dir, CacheDirName)); err != nil || !r.Clean() {
+				t.Fatalf("rewriting products damaged the cache: %+v %v", r, err)
+			}
+
+			warm := persistOptions(backend)
+			res, err := Run(ctx, dir, Pipelined, warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(8 * perRecordNodes); res.Cache.ActionHits != want || res.Cache.ActionMisses != 0 {
+				t.Errorf("warm cache stats %+v, want %d hits / 0 misses", res.Cache, want)
+			}
+			assertSameProducts(t, productHashes(t, dir), coldRef, "rewritten warm")
+			assertNoTmpFiles(t, dir)
+		})
+	}
+}
+
+// TestWarmRestartEditedLinkedProductLeavesNoTmp edits a product in place
+// after a cold fs run.  The product is a hardlink of its cache blob, so the
+// edit reaches the blob too.  The rerun must treat that entry as damaged
+// rather than link the blob back over itself, recompute the recorded bytes,
+// and leave no *.tmp behind.
+func TestWarmRestartEditedLinkedProductLeavesNoTmp(t *testing.T) {
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "work")
+	preparePersistDir(t, dir, "")
+	if _, err := Run(ctx, dir, Pipelined, persistOptions(storage.BackendFS)); err != nil {
+		t.Fatal(err)
+	}
+	coldRef := productHashes(t, dir)
+
+	v2 := filepath.Join(dir, smformat.V2FileName("SS03", seismic.Components[0]))
+	f, err := os.OpenFile(v2, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("#"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Move mtime explicitly so the edit shows in the stat fingerprint even
+	// within one timestamp tick.
+	later := time.Now().Add(time.Second)
+	if err := os.Chtimes(v2, later, later); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := Run(ctx, dir, Pipelined, persistOptions(storage.BackendFS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache.ActionMisses == 0 {
+		t.Error("the rerun served the edited blob")
+	}
+	assertSameProducts(t, productHashes(t, dir), coldRef, "rerun after edit")
+	assertNoTmpFiles(t, dir)
+}
+
+// TestActionCacheDigestFollowsContent pins the v3 digest: inputs enter as
+// (name, content sum, size), so a one-byte change of a same-size input,
+// rewritten through the workspace, moves the digest, restoring the bytes
+// restores it, and the fs and mem backends agree for identical inputs.
+func TestActionCacheDigestFollowsContent(t *testing.T) {
+	digests := map[storage.Backend][3]artifact.ActionID{}
+	for _, backend := range []storage.Backend{storage.BackendFS, storage.BackendMem} {
+		dir := t.TempDir()
+		opts := testOptions()
+		opts.Cache = CacheConfig{Mode: CachePersistent}
+		opts.Storage = backend
+		s, err := newState(context.Background(), dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := &dfBuild{s: s}
+		names := componentNames(smformat.V2FileName, "SS01")
+		for i, name := range names {
+			if err := s.ws.WriteFile(s.path(name), []byte(fmt.Sprintf("component %d bytes", i)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		digest := func() artifact.ActionID {
+			t.Helper()
+			id, ok := b.nodeAction(PFourier, "SS01")
+			if !ok {
+				t.Fatalf("%s: node not cacheable", backend)
+			}
+			return id
+		}
+		var ids [3]artifact.ActionID
+		ids[0] = digest()
+		if err := s.ws.WriteFile(s.path(names[1]), []byte("component 1 bytez"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ids[1] = digest()
+		if err := s.ws.WriteFile(s.path(names[1]), []byte("component 1 bytes"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ids[2] = digest()
+		if ids[1] == ids[0] {
+			t.Errorf("%s: a one-byte same-size change kept the digest", backend)
+		}
+		if ids[2] != ids[0] {
+			t.Errorf("%s: restoring the bytes did not restore the digest", backend)
+		}
+		digests[backend] = ids
+	}
+	if digests[storage.BackendFS] != digests[storage.BackendMem] {
+		t.Error("fs and mem digests differ for identical inputs")
 	}
 }

@@ -16,13 +16,16 @@ type OS struct{}
 func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
 // Rename carries the source's memoized content hash to the destination: the
-// bytes are unchanged, only the stat fingerprint (ctime) moved.
+// bytes are unchanged, only the stat fingerprint (ctime) moved.  Like Link,
+// it carries only an entry that still matches the source's fingerprint.
 func (OS) Rename(oldpath, newpath string) error {
+	carry := validMemo(oldpath)
 	if err := os.Rename(oldpath, newpath); err != nil {
 		return err
 	}
-	if e, ok := hashMemo.LoadAndDelete(oldpath); ok {
-		seedHashMemo(newpath, e.(hashMemoEntry).sum)
+	hashMemo.Delete(oldpath)
+	if carry != nil {
+		seedHashMemo(newpath, carry.sum)
 	}
 	return nil
 }
@@ -79,14 +82,17 @@ func (OS) Append(path string, data []byte, perm os.FileMode) error {
 // Link seeds the destination's memo from the source's — a hardlink shares
 // the inode, so the content hash is identical — and re-seeds the source,
 // whose fingerprint link(2) just invalidated by bumping the inode's ctime.
+// The source's entry is carried only while it still matches the source's
+// stat fingerprint, so a file changed since it was hashed is re-hashed on
+// the next Sum of either name instead of inheriting a stale sum.
 func (OS) Link(oldpath, newpath string) error {
+	carry := validMemo(oldpath)
 	if err := os.Link(oldpath, newpath); err != nil {
 		return err
 	}
-	if e, ok := hashMemo.Load(oldpath); ok {
-		sum := e.(hashMemoEntry).sum
-		seedHashMemo(oldpath, sum)
-		seedHashMemo(newpath, sum)
+	if carry != nil {
+		seedHashMemo(oldpath, carry.sum)
+		seedHashMemo(newpath, carry.sum)
 	}
 	return nil
 }
@@ -175,50 +181,83 @@ type hashMemoEntry struct {
 	sum   [sha256.Size]byte
 }
 
+// statIdentityOf returns path's current stat fingerprint; ok is false when
+// path is not a regular file.
+func statIdentityOf(path string) (ident statIdentity, ok bool) {
+	info, err := os.Stat(path)
+	if err != nil || !info.Mode().IsRegular() {
+		return ident, false
+	}
+	ident = statIdentity{size: info.Size(), mtimeNano: info.ModTime().UnixNano()}
+	ident.ino, ident.ctimeNano = statExtra(info)
+	return ident, true
+}
+
+// validMemo returns path's memo entry if it still matches path's stat
+// fingerprint, nil otherwise.
+func validMemo(path string) *hashMemoEntry {
+	e, ok := hashMemo.Load(path)
+	if !ok {
+		return nil
+	}
+	he := e.(hashMemoEntry)
+	if ident, ok := statIdentityOf(path); !ok || ident != he.ident {
+		return nil
+	}
+	return &he
+}
+
 // seedHashMemo records a known content hash for path under its current stat
 // fingerprint.  Callers pass a sum they know matches the bytes on disk (they
 // just wrote, linked, or renamed them); the pipeline's file protocol writes
 // each product path at most once per run, so no concurrent rewrite can slip
 // different bytes under the fingerprint between that operation and the stat.
 func seedHashMemo(path string, sum [sha256.Size]byte) {
-	info, err := os.Stat(path)
-	if err != nil || !info.Mode().IsRegular() {
-		return
+	if ident, ok := statIdentityOf(path); ok {
+		hashMemo.Store(path, hashMemoEntry{ident: ident, sum: sum})
 	}
-	ident := statIdentity{size: info.Size(), mtimeNano: info.ModTime().UnixNano()}
-	ident.ino, ident.ctimeNano = statExtra(info)
-	hashMemo.Store(path, hashMemoEntry{ident: ident, sum: sum})
 }
 
-// diskGeneration returns path's generation token, hashing its content only
-// when the stat fingerprint changed since the last probe; shared with the
-// mem backend's fallback for files that still live on real disk.  Stat'ing
-// a directory succeeds but is not a regular file, so directories report
-// ok=false.
-func diskGeneration(path string) (any, int64, bool) {
-	info, err := os.Stat(path)
-	if err != nil || !info.Mode().IsRegular() {
-		return nil, 0, false
+// diskSum returns the SHA-256 of path's content and its size, hashing the
+// content only when the stat fingerprint changed since the last probe;
+// shared with the mem backend's fallback for files that still live on real
+// disk.  Stat'ing a directory succeeds but is not a regular file, so
+// directories report ok=false.
+func diskSum(path string) (sum [sha256.Size]byte, size int64, ok bool) {
+	ident, ok := statIdentityOf(path)
+	if !ok {
+		return sum, 0, false
 	}
-	ident := statIdentity{size: info.Size(), mtimeNano: info.ModTime().UnixNano()}
-	ident.ino, ident.ctimeNano = statExtra(info)
 	if e, ok := hashMemo.Load(path); ok {
 		if he := e.(hashMemoEntry); he.ident == ident {
-			return diskGen{size: ident.size, sum: he.sum}, ident.size, true
+			return he.sum, ident.size, true
 		}
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, false
+		return sum, 0, false
 	}
-	sum := sha256.Sum256(data)
+	sum = sha256.Sum256(data)
 	// Memoize under the pre-read fingerprint: a write racing the read makes
 	// the next probe's fingerprint differ and re-hash, never serve this sum.
 	hashMemo.Store(path, hashMemoEntry{ident: ident, sum: sum})
-	return diskGen{size: int64(len(data)), sum: sum}, int64(len(data)), true
+	return sum, int64(len(data)), true
+}
+
+// diskGeneration wraps diskSum's hash and size into a generation token.
+func diskGeneration(path string) (any, int64, bool) {
+	sum, size, ok := diskSum(path)
+	if !ok {
+		return nil, 0, false
+	}
+	return diskGen{size: size, sum: sum}, size, true
 }
 
 func (OS) Generation(path string) (any, int64, bool) { return diskGeneration(path) }
+
+// Sum is served by the stat-keyed hash memo that WriteFile, Create, Link and
+// Rename seed, so a product this process wrote costs one stat.
+func (OS) Sum(path string) ([sha256.Size]byte, int64, bool) { return diskSum(path) }
 
 // Materialize is a no-op: everything already lives on disk.
 func (OS) Materialize(dir string) error { return nil }

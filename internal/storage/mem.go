@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"io"
 	"io/fs"
 	"os"
@@ -356,6 +357,23 @@ func (m *Mem) Generation(path string) (any, int64, bool) {
 		return nil, 0, false
 	}
 	return diskGeneration(path)
+}
+
+// Sum hashes the in-memory content; the write sequence number Generation
+// reports is not a content address and never stands in for it.
+func (m *Mem) Sum(path string) ([sha256.Size]byte, int64, bool) {
+	path = filepath.Clean(path)
+	m.mu.Lock()
+	f, ok := m.files[path]
+	tomb := m.tombs[path]
+	m.mu.Unlock()
+	if ok {
+		return sha256.Sum256(f.data), int64(len(f.data)), true
+	}
+	if tomb {
+		return [sha256.Size]byte{}, 0, false
+	}
+	return diskSum(path)
 }
 
 // Materialize flushes every in-memory file under dir to real disk (each via

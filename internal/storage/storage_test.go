@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"crypto/sha256"
 	"errors"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func TestParseBackend(t *testing.T) {
@@ -497,5 +499,82 @@ func TestMemAppendAfterRemoveStartsEmpty(t *testing.T) {
 	disk, _ := os.ReadFile(path)
 	if string(disk) != "fresh\n" {
 		t.Errorf("materialized = %q; want %q", disk, "fresh\n")
+	}
+}
+
+func TestSumHashesContentOnBothBackends(t *testing.T) {
+	dir := t.TempDir()
+	want := sha256.Sum256([]byte("same bytes"))
+	backends := map[string]Workspace{"fs": OS{}, "mem": NewMem()}
+	for name, ws := range backends {
+		a, b := filepath.Join(dir, name+"-a"), filepath.Join(dir, name+"-b")
+		// Two separate writes of equal bytes: on mem they get different
+		// write sequence numbers, which must not leak into the sum.
+		for _, p := range []string{a, b} {
+			if err := ws.WriteFile(p, []byte("same bytes"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range []string{a, b} {
+			if sum, size, ok := ws.Sum(p); !ok || sum != want || size != int64(len("same bytes")) {
+				t.Errorf("%s: Sum(%s) = %x, %d, %v", name, filepath.Base(p), sum, size, ok)
+			}
+		}
+		if err := ws.WriteFile(a, []byte("same bytez"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if sum, _, _ := ws.Sum(a); sum == want {
+			t.Errorf("%s: same-size rewrite kept the sum", name)
+		}
+		if _, _, ok := ws.Sum(filepath.Join(dir, name+"-absent")); ok {
+			t.Errorf("%s: Sum of an absent path reported ok", name)
+		}
+		if _, _, ok := ws.Sum(dir); ok {
+			t.Errorf("%s: Sum of a directory reported ok", name)
+		}
+	}
+}
+
+// TestOSLinkAndRenameDropStaleMemo edits a file in place behind the
+// workspace, then links and renames it: the memoized sum of the old bytes
+// must not be carried to the new names.
+func TestOSLinkAndRenameDropStaleMemo(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src")
+	if err := (OS{}).WriteFile(src, []byte("old bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(src, []byte("new bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Move mtime explicitly so the edit shows in the stat fingerprint even
+	// within one timestamp tick.
+	later := time.Now().Add(time.Second)
+	if err := os.Chtimes(src, later, later); err != nil {
+		t.Fatal(err)
+	}
+	want := sha256.Sum256([]byte("new bytes"))
+	linked := filepath.Join(dir, "linked")
+	if err := (OS{}).Link(src, linked); err != nil {
+		t.Fatal(err)
+	}
+	if sum, _, _ := (OS{}).Sum(linked); sum != want {
+		t.Error("Link carried a stale sum")
+	}
+	if err := (OS{}).WriteFile(src, []byte("old bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(src, []byte("new bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(src, later.Add(time.Second), later.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	moved := filepath.Join(dir, "moved")
+	if err := (OS{}).Rename(src, moved); err != nil {
+		t.Fatal(err)
+	}
+	if sum, _, _ := (OS{}).Sum(moved); sum != want {
+		t.Error("Rename carried a stale sum")
 	}
 }

@@ -22,6 +22,7 @@
 package storage
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -33,8 +34,16 @@ import (
 // runs on.  The first seven methods are the staging operations the fault
 // injector interposes (see internal/faults); the rest are the read-side and
 // lifecycle extensions the backends need: hardlink staging, streamed header
-// peeks, directory listings, cache generations, and the on-demand flush of
-// in-memory state to real disk.
+// peeks, directory listings, cache generations, content sums, and the
+// on-demand flush of in-memory state to real disk.
+//
+// WriteFile and Create always bind the destination to fresh storage (a new
+// inode on disk, a new *memFile in memory) rather than truncating what it
+// held, and nothing in the pipeline rewrites a product in place: Append is
+// reserved for the run journal.  Hardlinks depend on that invariant.  A
+// product may share its inode with a scratch-folder staging link and with
+// the action cache's blob of the same bytes, and rewriting the product must
+// leave both untouched.
 type Workspace interface {
 	MkdirAll(path string, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
@@ -77,6 +86,12 @@ type Workspace interface {
 	// coherence check.  ok is false when the path does not currently hold a
 	// regular file.
 	Generation(path string) (gen any, size int64, ok bool)
+	// Sum returns the SHA-256 of path's current content and its size: the
+	// action cache's content address and the action digest's input key.
+	// Unlike Generation's token it is equal across backends for equal
+	// bytes.  ok is false when the path does not currently hold a regular
+	// file.
+	Sum(path string) (sum [sha256.Size]byte, size int64, ok bool)
 	// Materialize flushes every in-memory file under dir to real disk (and
 	// applies pending deletions of shadowed disk files), so plain-os
 	// consumers see the backend's state.  A no-op on disk-backed workspaces.
