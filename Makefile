@@ -16,6 +16,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	GOPROXY=off GOFLAGS= $(GO) -C benchmark vet .
 
 build:
 	$(GO) build ./...

@@ -14,6 +14,7 @@ fi
 
 echo "== go vet =="
 go vet ./...
+GOPROXY=off GOFLAGS= go -C benchmark vet .
 
 echo "== build =="
 go build ./...

@@ -191,9 +191,6 @@ type NodeStat struct {
 // picked it up.
 func (s NodeStat) Wait() time.Duration { return s.Start - s.Ready }
 
-// Duration returns the node's execution time.
-func (s NodeStat) Duration() time.Duration { return s.End - s.Start }
-
 // Monitor receives per-worker busy/idle accounting, structurally matching
 // parallel.Monitor so obs.WorkerMonitor plugs in directly.
 type Monitor interface {

@@ -1,10 +1,5 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
-
 // Demean subtracts the arithmetic mean from x in place and returns the mean
 // that was removed.
 func Demean(x []float64) float64 {
@@ -108,100 +103,4 @@ func AbsMax(x []float64) (peak float64, idx int) {
 		return 0, -1
 	}
 	return peak, idx
-}
-
-// PolynomialDetrend removes the least-squares polynomial of the given order
-// (0 = mean, 1 = straight line, 2-3 = the curved baselines analog
-// digitization leaves behind) from x in place and returns the removed
-// coefficients, lowest order first.  The normal equations are solved with
-// Gaussian elimination on the (order+1)² moment matrix over the normalized
-// time axis t in [0, 1], which keeps the system well-conditioned for the
-// small orders baseline correction uses.
-func PolynomialDetrend(x []float64, order int) ([]float64, error) {
-	if order < 0 || order > 6 {
-		return nil, fmt.Errorf("dsp: polynomial order %d outside [0, 6]", order)
-	}
-	n := len(x)
-	if n == 0 {
-		return make([]float64, order+1), nil
-	}
-	if n <= order {
-		return nil, fmt.Errorf("dsp: %d samples cannot fit an order-%d polynomial", n, order)
-	}
-	m := order + 1
-	// Moments: A[i][j] = sum t^(i+j), b[i] = sum t^i x.
-	powSums := make([]float64, 2*m-1)
-	b := make([]float64, m)
-	scale := 1.0
-	if n > 1 {
-		scale = 1 / float64(n-1)
-	}
-	for k := 0; k < n; k++ {
-		t := float64(k) * scale
-		tp := 1.0
-		for i := 0; i < 2*m-1; i++ {
-			powSums[i] += tp
-			if i < m {
-				b[i] += tp * x[k]
-			}
-			tp *= t
-		}
-	}
-	a := make([][]float64, m)
-	for i := range a {
-		a[i] = make([]float64, m)
-		for j := range a[i] {
-			a[i][j] = powSums[i+j]
-		}
-	}
-	coef, err := solveGauss(a, b)
-	if err != nil {
-		return nil, err
-	}
-	for k := 0; k < n; k++ {
-		t := float64(k) * scale
-		tp := 1.0
-		var fit float64
-		for i := 0; i < m; i++ {
-			fit += coef[i] * tp
-			tp *= t
-		}
-		x[k] -= fit
-	}
-	return coef, nil
-}
-
-// solveGauss solves a small dense linear system with partial pivoting,
-// modifying its inputs.
-func solveGauss(a [][]float64, b []float64) ([]float64, error) {
-	m := len(b)
-	for col := 0; col < m; col++ {
-		pivot := col
-		for r := col + 1; r < m; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-12 {
-			return nil, fmt.Errorf("dsp: singular normal equations at column %d", col)
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		for r := col + 1; r < m; r++ {
-			f := a[r][col] / a[col][col]
-			for c := col; c < m; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	out := make([]float64, m)
-	for r := m - 1; r >= 0; r-- {
-		sum := b[r]
-		for c := r + 1; c < m; c++ {
-			sum -= a[r][c] * out[c]
-		}
-		out[r] = sum / a[r][r]
-	}
-	return out, nil
 }

@@ -167,96 +167,3 @@ func TestAbsMax(t *testing.T) {
 		}
 	}
 }
-
-func TestPolynomialDetrendRemovesExactPolynomial(t *testing.T) {
-	// x(t) = 2 - 3t + 5t^2 on t in [0,1] plus a sine: the fit removes the
-	// polynomial part exactly and leaves the sine (which is orthogonal
-	// enough over many cycles).
-	n := 2000
-	x := make([]float64, n)
-	for i := range x {
-		tt := float64(i) / float64(n-1)
-		x[i] = 2 - 3*tt + 5*tt*tt
-	}
-	coef, err := PolynomialDetrend(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, -3, 5}
-	for i := range want {
-		if math.Abs(coef[i]-want[i]) > 1e-6 {
-			t.Errorf("coef[%d] = %g, want %g", i, coef[i], want[i])
-		}
-	}
-	for i, v := range x {
-		if math.Abs(v) > 1e-6 {
-			t.Fatalf("residual[%d] = %g, want 0", i, v)
-		}
-	}
-}
-
-func TestPolynomialDetrendOrderZeroIsDemean(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{1, 2, 3, 4}
-	coef, err := PolynomialDetrend(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := Demean(b)
-	if math.Abs(coef[0]-mean) > 1e-12 {
-		t.Errorf("order-0 coefficient %g != mean %g", coef[0], mean)
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-12 {
-			t.Errorf("order-0 residual differs from demean at %d", i)
-		}
-	}
-}
-
-func TestPolynomialDetrendErrors(t *testing.T) {
-	if _, err := PolynomialDetrend([]float64{1, 2}, -1); err == nil {
-		t.Error("negative order accepted")
-	}
-	if _, err := PolynomialDetrend([]float64{1, 2}, 7); err == nil {
-		t.Error("huge order accepted")
-	}
-	if _, err := PolynomialDetrend([]float64{1, 2}, 2); err == nil {
-		t.Error("underdetermined fit accepted")
-	}
-	coef, err := PolynomialDetrend(nil, 2)
-	if err != nil || len(coef) != 3 {
-		t.Errorf("empty input: %v, %v", coef, err)
-	}
-}
-
-// Property: residual after PolynomialDetrend is orthogonal to all fitted
-// powers of t (normal equations satisfied).
-func TestPolynomialDetrendOrthogonality(t *testing.T) {
-	f := func(seed int64, orderRaw uint8) bool {
-		order := int(orderRaw) % 4
-		rng := rand.New(rand.NewSource(seed))
-		n := 200 + rng.Intn(200)
-		x := make([]float64, n)
-		for i := range x {
-			tt := float64(i) / float64(n-1)
-			x[i] = rng.NormFloat64() + 3*tt*tt - tt
-		}
-		if _, err := PolynomialDetrend(x, order); err != nil {
-			return false
-		}
-		for p := 0; p <= order; p++ {
-			var dot float64
-			for i, v := range x {
-				tt := float64(i) / float64(n-1)
-				dot += v * math.Pow(tt, float64(p))
-			}
-			if math.Abs(dot) > 1e-6*float64(n) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -225,22 +225,6 @@ func TestChaosSlowDelaysViaSleeper(t *testing.T) {
 	}
 }
 
-func TestCopyFileRoundTrips(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "src")
-	dst := filepath.Join(dir, "dst")
-	if err := os.WriteFile(src, []byte("payload"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := CopyFile(OS{}, dst, src); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(dst)
-	if err != nil || string(got) != "payload" {
-		t.Errorf("copied %q, %v", got, err)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		KindNone: "none", KindTransient: "transient", KindPermanent: "permanent",

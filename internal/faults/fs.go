@@ -231,17 +231,5 @@ func (f chaosFS) Materialize(dir string) error { return f.c.base.Materialize(dir
 
 func (f chaosFS) ResidentBytes() (current, peak int64) { return f.c.base.ResidentBytes() }
 
-// CopyFile copies src to dst through fsys, so chaos runs can fault either
-// side of the copy.  It exists here because io.Copy-style streaming through
-// an interposed FS reduces to read-then-write for the pipeline's small
-// products.
-func CopyFile(fsys FS, dst, src string) error {
-	data, err := fsys.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	return fsys.WriteFile(dst, data, 0o644)
-}
-
 // Interface satisfaction check.
 var _ FS = chaosFS{}

@@ -11,11 +11,9 @@
 package fourier
 
 import (
-	"fmt"
 	"math"
 
 	"accelproc/internal/dsp"
-	"accelproc/internal/seismic"
 	"accelproc/internal/smformat"
 )
 
@@ -203,27 +201,4 @@ func (s *lazySmoother) at(i int) float64 {
 		sum += s.log(j)
 	}
 	return sum / float64(hi-lo+1)
-}
-
-// AnalyzeRecord runs the inflection pick on all three components of one
-// station (the loop that the paper parallelizes with "#pragma omp parallel
-// for" over j = 0..2 in section V-B) and returns a per-component spec map
-// fragment.  The three F inputs must belong to the same station.
-func AnalyzeRecord(fs [3]smformat.Fourier, cfg PickConfig) (map[smformat.SignalKey]dsp.BandPassSpec, error) {
-	station := fs[0].Station
-	out := make(map[smformat.SignalKey]dsp.BandPassSpec, 3)
-	for ci, f := range fs {
-		if f.Station != station {
-			return nil, fmt.Errorf("fourier: mixed stations %q and %q in one analysis", station, f.Station)
-		}
-		if f.Component != seismic.Components[ci] {
-			return nil, fmt.Errorf("fourier: component %d is %v, want %v", ci, f.Component, seismic.Components[ci])
-		}
-		spec, err := CalculateInflectionPoint(f, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("fourier: station %s component %v: %w", station, f.Component, err)
-		}
-		out[smformat.SignalKey{Station: station, Component: f.Component}] = spec
-	}
-	return out, nil
 }

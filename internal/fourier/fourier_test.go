@@ -160,50 +160,6 @@ func TestSpectraMatchesDSP(t *testing.T) {
 	}
 }
 
-func TestAnalyzeRecord(t *testing.T) {
-	var fs [3]smformat.Fourier
-	for ci, comp := range seismic.Components {
-		f := synthFourier(0.04)
-		f.Component = comp
-		fs[ci] = f
-	}
-	specs, err := AnalyzeRecord(fs, PickConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 3 {
-		t.Fatalf("got %d specs, want 3", len(specs))
-	}
-	for _, comp := range seismic.Components {
-		key := smformat.SignalKey{Station: "SS01", Component: comp}
-		spec, ok := specs[key]
-		if !ok {
-			t.Fatalf("no spec for %s", key)
-		}
-		if spec.FPL < 0.1 || spec.FPL > 0.3 {
-			t.Errorf("%s: FPL = %g, want ~0.2", key, spec.FPL)
-		}
-	}
-}
-
-func TestAnalyzeRecordRejectsMixedStations(t *testing.T) {
-	var fs [3]smformat.Fourier
-	for ci, comp := range seismic.Components {
-		f := synthFourier(0.04)
-		f.Component = comp
-		fs[ci] = f
-	}
-	fs[2].Station = "OTHER"
-	if _, err := AnalyzeRecord(fs, PickConfig{}); err == nil {
-		t.Error("mixed stations accepted")
-	}
-	fs[2].Station = "SS01"
-	fs[1].Component = seismic.Vertical
-	if _, err := AnalyzeRecord(fs, PickConfig{}); err == nil {
-		t.Error("wrong component order accepted")
-	}
-}
-
 // End-to-end sanity: a synthetic record processed through the default
 // filter then Fourier analysis yields a pickable, valid spec.
 func TestPickOnSyntheticRecord(t *testing.T) {

@@ -81,7 +81,7 @@ func OpenChunks(fsys smformat.StreamFS, path string, f Format, qc QCConfig) (Chu
 }
 
 // WriteFile encodes rec in format f and writes it to path through fsys in
-// one atomic WriteFile (synth and the tests use it; the pipeline never
+// one atomic WriteFile (the tests use it; the pipeline never
 // writes foreign formats).
 func WriteFile(fsys smformat.FS, path string, f Format, rec Record) error {
 	var buf bytes.Buffer

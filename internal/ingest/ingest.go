@@ -162,14 +162,6 @@ func Detect(name string, prefix []byte) (Format, error) {
 	return nil, &UnknownFormatError{Name: name}
 }
 
-// IsRecordFile reports whether name/prefix identify any registered format;
-// the pipeline's gather step uses it to pick record inputs out of a work
-// directory that also holds products and metadata.
-func IsRecordFile(name string, prefix []byte) bool {
-	_, err := Detect(name, prefix)
-	return err == nil
-}
-
 // SniffAny returns the format whose magic claims the prefix, in registry
 // order — magic only, no extension fallback.  The pipeline's gather step
 // uses it so per-component products, which share the ".v1" extension but

@@ -34,11 +34,6 @@ func DefaultQC() QCConfig {
 	return QCConfig{MinDuration: 1, ClipRun: 8, GapRun: 64}
 }
 
-// enabled reports whether any threshold check is on.
-func (c QCConfig) enabled() bool {
-	return c.MinDuration > 0 || c.ClipRun > 0 || c.GapRun > 0
-}
-
 // sampleChecks reports whether the gate needs the sample payload (clip and
 // gap scans); the header-only checks can run before any sample is read.
 func (c QCConfig) sampleChecks() bool { return c.ClipRun > 0 || c.GapRun > 0 }

@@ -67,9 +67,6 @@ func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 // Int builds an integer-valued attribute.
 func Int(key string, value int64) Attr { return Attr{Key: key, Value: value} }
 
-// Float builds a float-valued attribute.
-func Float(key string, value float64) Attr { return Attr{Key: key, Value: value} }
-
 // SpanRecord is the immutable description of a finished span, delivered to
 // every sink.  Start is an offset from the observer's epoch on the
 // monotonic clock; Duration is the *charged* duration (on the simulated

@@ -50,18 +50,6 @@ func TestParallelForAllCancelledStaysCancelled(t *testing.T) {
 	}
 }
 
-func TestParallelRangePrefersRealCause(t *testing.T) {
-	err := ParallelRange(8, 4, func(lo, hi int) error {
-		if lo == 0 {
-			return context.DeadlineExceeded
-		}
-		return errReal
-	})
-	if !errors.Is(err, errReal) {
-		t.Errorf("reported %v, want the real cause", err)
-	}
-}
-
 // TestTaskGroupUpgradesCancellationToRealCause submits a cancellation
 // failure first, then a real one: Wait must return the real cause even
 // though it arrived second.

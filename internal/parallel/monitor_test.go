@@ -167,34 +167,3 @@ func TestRunTasksMonitoredReportsEveryTask(t *testing.T) {
 		t.Errorf("queue waits = %d, want %d", len(mon.waits), tasks)
 	}
 }
-
-func TestPoolMonitoredReportsOnClose(t *testing.T) {
-	const workers, tasks = 2, 5
-	mon := &recordingMonitor{}
-	p := NewPoolMonitored(workers, mon)
-	var joins []func()
-	for i := 0; i < tasks; i++ {
-		join, err := p.Submit(func() { time.Sleep(100 * time.Microsecond) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		joins = append(joins, join)
-	}
-	for _, j := range joins {
-		j()
-	}
-	// Nothing is reported until the pool winds down.
-	if len(mon.spans) != 0 {
-		t.Errorf("spans before Close = %d", len(mon.spans))
-	}
-	p.Close()
-	if len(mon.spans) != workers {
-		t.Fatalf("spans = %d, want %d", len(mon.spans), workers)
-	}
-	if got := mon.totalTasks(); got != tasks {
-		t.Errorf("tasks = %d, want %d", got, tasks)
-	}
-	if len(mon.waits) != tasks {
-		t.Errorf("queue waits = %d, want %d", len(mon.waits), tasks)
-	}
-}

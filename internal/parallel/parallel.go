@@ -4,14 +4,12 @@
 // The original system described in the paper uses OpenMP pragmas from C++
 // and Fortran: parallel for-loops with static or dynamic scheduling, and
 // explicit task parallelism with taskwait barriers.  This package offers the
-// same three primitives on top of goroutines:
+// same primitives on top of goroutines:
 //
-//   - ParallelFor / ParallelForChunked: fork-join loops over an index range,
-//     equivalent to "#pragma omp parallel for".
+//   - ParallelFor / ParallelForDynamic / ParallelForMonitored: fork-join
+//     loops over an index range, equivalent to "#pragma omp parallel for".
 //   - TaskGroup: explicit task spawning with a Wait barrier, equivalent to
 //     "#pragma omp task" + "#pragma omp taskwait".
-//   - Pool: a reusable fixed-size worker pool for callers that want to
-//     amortize goroutine startup across many loops.
 //
 // All primitives accept an explicit worker count so that experiments can
 // sweep thread counts the same way the paper sweeps OpenMP threads; a count

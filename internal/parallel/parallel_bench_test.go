@@ -54,17 +54,3 @@ func BenchmarkTaskGroup(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkPoolSubmit measures amortized submission on a persistent pool.
-func BenchmarkPoolSubmit(b *testing.B) {
-	p := NewPool(4)
-	defer p.Close()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		join, err := p.Submit(func() {})
-		if err != nil {
-			b.Fatal(err)
-		}
-		join()
-	}
-}

@@ -28,12 +28,6 @@ func ParallelForDynamic(n, workers, chunkSize int, body func(i int) error) error
 	return parallelFor(n, workers, ScheduleDynamic, chunkSize, nil, body)
 }
 
-// ParallelForSched runs body(i) for every i in [0, n) with an explicit
-// schedule, allowing the scheduling policy itself to be benchmarked.
-func ParallelForSched(n, workers int, sched Schedule, chunkSize int, body func(i int) error) error {
-	return parallelFor(n, workers, sched, chunkSize, nil, body)
-}
-
 // ParallelForMonitored is ParallelFor with an explicit schedule and a
 // Monitor receiving per-worker busy/idle accounting.  A nil mon is the
 // uninstrumented loop.
@@ -204,51 +198,5 @@ func serialFor(n int, body func(i int) error) error {
 			firstErr, firstIdx = err, i
 		}
 	}
-	return firstErr
-}
-
-// ParallelRange runs body(lo, hi) on contiguous sub-ranges of [0, n) with one
-// range per worker.  It is useful when the body wants to amortize per-worker
-// setup (scratch buffers, open files) across its whole block, the same way
-// OpenMP code hoists private allocations out of the loop.
-func ParallelRange(n, workers int, body func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		return body(0, n)
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		firstLo  int
-	)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	base, rem := n/w, n%w
-	start := 0
-	for t := 0; t < w; t++ {
-		size := base
-		if t < rem {
-			size++
-		}
-		lo, hi := start, start+size
-		start = hi
-		go func() {
-			defer wg.Done()
-			if err := body(lo, hi); err != nil {
-				mu.Lock()
-				if betterError(err, lo, firstErr, firstLo) {
-					firstErr, firstLo = err, lo
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
 	return firstErr
 }

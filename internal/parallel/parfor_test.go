@@ -59,7 +59,7 @@ func TestParallelForGuidedRunsEveryIndexExactlyOnce(t *testing.T) {
 			t.Run(fmt.Sprintf("chunk=%d/w=%d", chunk, workers), func(t *testing.T) {
 				const n = 257
 				counts := make([]atomic.Int32, n)
-				err := ParallelForSched(n, workers, ScheduleGuided, chunk, func(i int) error {
+				err := ParallelForMonitored(n, workers, ScheduleGuided, chunk, nil, func(i int) error {
 					counts[i].Add(1)
 					return nil
 				})
@@ -80,7 +80,7 @@ func TestParallelForReportsSmallestFailingIndex(t *testing.T) {
 	errBoom := errors.New("boom")
 	for _, sched := range []Schedule{ScheduleStatic, ScheduleDynamic, ScheduleGuided} {
 		t.Run(sched.String(), func(t *testing.T) {
-			err := ParallelForSched(100, 4, sched, 1, func(i int) error {
+			err := ParallelForMonitored(100, 4, sched, 1, nil, func(i int) error {
 				if i%10 == 3 {
 					return fmt.Errorf("index %d: %w", i, errBoom)
 				}
@@ -106,33 +106,6 @@ func TestParallelForZeroAndNegativeN(t *testing.T) {
 	}
 	if ran {
 		t.Error("body ran for non-positive n")
-	}
-}
-
-func TestParallelRangeCoversWholeRangeWithoutOverlap(t *testing.T) {
-	for _, n := range []int{1, 5, 64, 999} {
-		for _, workers := range []int{1, 2, 7, 64} {
-			t.Run(fmt.Sprintf("n=%d/w=%d", n, workers), func(t *testing.T) {
-				counts := make([]atomic.Int32, n)
-				err := ParallelRange(n, workers, func(lo, hi int) error {
-					if lo >= hi {
-						return fmt.Errorf("empty range [%d,%d)", lo, hi)
-					}
-					for i := lo; i < hi; i++ {
-						counts[i].Add(1)
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("ParallelRange: %v", err)
-				}
-				for i := range counts {
-					if got := counts[i].Load(); got != 1 {
-						t.Errorf("index %d covered %d times, want 1", i, got)
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -126,32 +126,3 @@ func TestTaskGroupCompletesExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPoolRunsSubmittedTasks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var ran atomic.Int32
-	joins := make([]func(), 0, 20)
-	for i := 0; i < 20; i++ {
-		join, err := p.Submit(func() { ran.Add(1) })
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		joins = append(joins, join)
-	}
-	for _, j := range joins {
-		j()
-	}
-	if got := ran.Load(); got != 20 {
-		t.Errorf("ran %d, want 20", got)
-	}
-}
-
-func TestPoolSubmitAfterClose(t *testing.T) {
-	p := NewPool(1)
-	p.Close()
-	p.Close() // idempotent
-	if _, err := p.Submit(func() {}); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("Submit after Close = %v, want ErrPoolClosed", err)
-	}
-}

@@ -136,22 +136,3 @@ func DeriveArtifactEdges() []ArtifactEdge {
 	}
 	return edges
 }
-
-// DependenciesOf returns the deduplicated set of processes that p must wait
-// for, in ascending order — the per-process view of DeriveArtifactEdges.
-func DependenciesOf(p ProcessID) []ProcessID {
-	seen := map[ProcessID]bool{}
-	var deps []ProcessID
-	for _, e := range DeriveArtifactEdges() {
-		if e.To == p && !seen[e.From] {
-			seen[e.From] = true
-			deps = append(deps, e.From)
-		}
-	}
-	for i := 1; i < len(deps); i++ {
-		for j := i; j > 0 && deps[j] < deps[j-1]; j-- {
-			deps[j], deps[j-1] = deps[j-1], deps[j]
-		}
-	}
-	return deps
-}

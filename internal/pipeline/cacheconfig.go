@@ -15,8 +15,8 @@ const (
 	// in-process memo layer only.  Nothing outlives the run.
 	CacheMemory CacheMode = iota
 	// CacheOff disables both layers: every process re-reads and re-parses
-	// its file inputs and staging always copies bytes: the ablation
-	// endpoint.
+	// its file inputs (the ablation endpoint).  Staging still hardlinks
+	// where the workspace allows; that never depended on the cache mode.
 	CacheOff
 	// CachePersistent enables the memo layer plus the persistent
 	// content-addressed action cache: per-(record,process) dataflow nodes

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bufio"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -777,4 +778,20 @@ func TestObserverEmitsProcessSpans(t *testing.T) {
 			t.Errorf("full-parallel: process #%d task spans %q, want %q", id, got, want)
 		}
 	}
+}
+
+// firstLine returns the first line of a file (without the newline), or ""
+// for an empty file, streaming through the workspace.
+func firstLine(ws storage.Workspace, path string) (string, error) {
+	f, err := ws.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 4096), 1024*1024)
+	if !sc.Scan() {
+		return "", sc.Err()
+	}
+	return sc.Text(), nil
 }

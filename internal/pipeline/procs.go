@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -650,22 +649,6 @@ func (s *state) writeGEM(path string, g smformat.GEM) error {
 		return smformat.WriteFileCreateFS(s.ws, path, g)
 	}
 	return smformat.WriteGEMFileFS(s.ws, path, g)
-}
-
-// firstLine returns the first line of a file (without the newline), or ""
-// for an empty file, streaming through the workspace.
-func firstLine(ws storage.Workspace, path string) (string, error) {
-	f, err := ws.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 4096), 1024*1024)
-	if !sc.Scan() {
-		return "", sc.Err()
-	}
-	return sc.Text(), nil
 }
 
 // sniffHead reads the leading ingest.SniffLen bytes of a file, the window

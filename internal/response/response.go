@@ -288,11 +288,3 @@ func nigamJennings(a []float64, dt, period, xi float64) (sd, sv, sa float64) {
 	}
 	return sd, sv, sa
 }
-
-// PseudoSpectra converts a spectral displacement into pseudo-velocity and
-// pseudo-acceleration (PSV = w SD, PSA = w² SD), the quantities many
-// engineering codes plot; exposed for the plotting examples.
-func PseudoSpectra(period, sd float64) (psv, psa float64) {
-	w := 2 * math.Pi / period
-	return w * sd, w * w * sd
-}

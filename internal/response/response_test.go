@@ -245,16 +245,6 @@ func TestSpectrumProducesValidRFile(t *testing.T) {
 	}
 }
 
-func TestPseudoSpectra(t *testing.T) {
-	sd := 2.0
-	T := 1.0
-	psv, psa := PseudoSpectra(T, sd)
-	w := 2 * math.Pi
-	if math.Abs(psv-w*sd) > 1e-12 || math.Abs(psa-w*w*sd) > 1e-12 {
-		t.Errorf("PSV/PSA = %g/%g", psv, psa)
-	}
-}
-
 func TestDefaultPeriodsSpanPaperFigure4(t *testing.T) {
 	p := DefaultPeriods()
 	if p[0] != 0.02 || math.Abs(p[len(p)-1]-20) > 1e-9 {

@@ -87,27 +87,3 @@ func SignificantDuration(accel Trace, loFrac, hiFrac float64) (float64, error) {
 	}
 	return tHi - tLo, nil
 }
-
-// BracketedDuration returns the time between the first and last excursion of
-// |a| above the threshold (gal), or 0 if the threshold is never exceeded.
-func BracketedDuration(accel Trace, threshold float64) (float64, error) {
-	if err := accel.Validate(); err != nil {
-		return 0, err
-	}
-	if threshold <= 0 {
-		return 0, fmt.Errorf("seismic: bracketed duration threshold %g must be positive", threshold)
-	}
-	first, last := -1, -1
-	for i, a := range accel.Data {
-		if math.Abs(a) >= threshold {
-			if first < 0 {
-				first = i
-			}
-			last = i
-		}
-	}
-	if first < 0 {
-		return 0, nil
-	}
-	return float64(last-first) * accel.DT, nil
-}

@@ -1,10 +1,6 @@
 package seismic
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // RotateHorizontal rotates the two horizontal components of a record by the
 // given azimuth (degrees, counterclockwise): the instrument's L/T axes are
@@ -29,74 +25,4 @@ func RotateHorizontal(rec Record, azimuthDeg float64) (Record, error) {
 		out.Accel[Transversal].Data[i] = -s*l[i] + c*tr[i]
 	}
 	return out, nil
-}
-
-// RotD computes orientation-independent horizontal peak measures: the
-// record's horizontals are rotated through 180 one-degree steps, the peak
-// absolute acceleration is taken at each angle, and the requested
-// percentiles of those 180 peaks are returned (RotD0 = minimum, RotD50 =
-// median, RotD100 = maximum — the measures modern ground-motion models are
-// calibrated to).  Percentiles are given in [0, 100].
-func RotD(rec Record, percentiles []float64) ([]float64, error) {
-	if err := rec.Validate(); err != nil {
-		return nil, err
-	}
-	if len(percentiles) == 0 {
-		return nil, fmt.Errorf("seismic: no percentiles requested")
-	}
-	for _, p := range percentiles {
-		if p < 0 || p > 100 {
-			return nil, fmt.Errorf("seismic: percentile %g outside [0, 100]", p)
-		}
-	}
-	l := rec.Accel[Longitudinal].Data
-	t := rec.Accel[Transversal].Data
-	peaks := make([]float64, 180)
-	for deg := 0; deg < 180; deg++ {
-		rad := float64(deg) * math.Pi / 180
-		c, s := math.Cos(rad), math.Sin(rad)
-		var peak float64
-		for i := range l {
-			v := math.Abs(c*l[i] + s*t[i])
-			if v > peak {
-				peak = v
-			}
-		}
-		peaks[deg] = peak
-	}
-	sort.Float64s(peaks)
-	out := make([]float64, len(percentiles))
-	for i, p := range percentiles {
-		// Nearest-rank percentile over the 180 sorted peaks.
-		rank := int(math.Ceil(p/100*180)) - 1
-		if rank < 0 {
-			rank = 0
-		}
-		if rank > 179 {
-			rank = 179
-		}
-		out[i] = peaks[rank]
-	}
-	return out, nil
-}
-
-// GeometricMeanPGA returns the geometric mean of the two horizontal peak
-// accelerations, the classic (orientation-dependent) predecessor of RotD50.
-func GeometricMeanPGA(rec Record) (float64, error) {
-	if err := rec.Validate(); err != nil {
-		return 0, err
-	}
-	pl, _ := absPeak(rec.Accel[Longitudinal].Data)
-	pt, _ := absPeak(rec.Accel[Transversal].Data)
-	return math.Sqrt(pl * pt), nil
-}
-
-func absPeak(x []float64) (float64, int) {
-	peak, idx := 0.0, -1
-	for i, v := range x {
-		if a := math.Abs(v); a > peak || idx == -1 {
-			peak, idx = a, i
-		}
-	}
-	return peak, idx
 }

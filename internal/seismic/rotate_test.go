@@ -89,103 +89,3 @@ func TestRotateHorizontalRejectsInvalid(t *testing.T) {
 		t.Error("invalid record accepted")
 	}
 }
-
-func TestRotDOnLinearlyPolarizedSignal(t *testing.T) {
-	// All motion on one axis: RotD100 = PGA of that axis, RotD0 ~ 0
-	// (the 90-degree rotation nulls it).
-	n := 2000
-	var rec Record
-	rec.Station = "POL"
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = 50 * math.Sin(2*math.Pi*2*float64(i)*0.01)
-	}
-	rec.Accel[Longitudinal] = Trace{DT: 0.01, Data: data}
-	rec.Accel[Transversal] = Trace{DT: 0.01, Data: make([]float64, n)}
-	rec.Accel[Vertical] = Trace{DT: 0.01, Data: make([]float64, n)}
-	// Avoid the all-zero validation failure for T/V by adding a tiny value.
-	rec.Accel[Transversal].Data[0] = 1e-9
-	rec.Accel[Vertical].Data[0] = 1e-9
-
-	rot, err := RotD(rec, []float64{0, 50, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rot[2]-50) > 0.1 {
-		t.Errorf("RotD100 = %g, want ~50", rot[2])
-	}
-	if rot[0] > 2 {
-		t.Errorf("RotD0 = %g, want ~0 for linear polarization", rot[0])
-	}
-	if !(rot[0] <= rot[1] && rot[1] <= rot[2]) {
-		t.Errorf("percentiles not ordered: %v", rot)
-	}
-}
-
-func TestRotDOnCircularlyPolarizedSignal(t *testing.T) {
-	// Circular polarization: every rotation angle sees the same peak, so
-	// RotD0 == RotD50 == RotD100.
-	n := 4000
-	var rec Record
-	rec.Station = "CIR"
-	l := make([]float64, n)
-	tr := make([]float64, n)
-	for i := range l {
-		ph := 2 * math.Pi * 2 * float64(i) * 0.01
-		l[i] = 30 * math.Cos(ph)
-		tr[i] = 30 * math.Sin(ph)
-	}
-	rec.Accel[Longitudinal] = Trace{DT: 0.01, Data: l}
-	rec.Accel[Transversal] = Trace{DT: 0.01, Data: tr}
-	v := make([]float64, n)
-	v[0] = 1e-9
-	rec.Accel[Vertical] = Trace{DT: 0.01, Data: v}
-
-	rot, err := RotD(rec, []float64{0, 50, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rot[0]-rot[2]) > 0.5 {
-		t.Errorf("circular polarization: RotD0 %g != RotD100 %g", rot[0], rot[2])
-	}
-	if math.Abs(rot[1]-30) > 0.5 {
-		t.Errorf("RotD50 = %g, want ~30", rot[1])
-	}
-}
-
-func TestRotDErrors(t *testing.T) {
-	rec := randRecord(3, 100)
-	if _, err := RotD(rec, nil); err == nil {
-		t.Error("empty percentiles accepted")
-	}
-	if _, err := RotD(rec, []float64{-1}); err == nil {
-		t.Error("negative percentile accepted")
-	}
-	if _, err := RotD(rec, []float64{101}); err == nil {
-		t.Error("percentile > 100 accepted")
-	}
-	if _, err := RotD(Record{}, []float64{50}); err == nil {
-		t.Error("invalid record accepted")
-	}
-}
-
-func TestGeometricMeanPGA(t *testing.T) {
-	rec := randRecord(4, 300)
-	gm, err := GeometricMeanPGA(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, _ := absPeak(rec.Accel[Longitudinal].Data)
-	pt, _ := absPeak(rec.Accel[Transversal].Data)
-	if math.Abs(gm-math.Sqrt(pl*pt)) > 1e-12 {
-		t.Errorf("GM = %g", gm)
-	}
-	// GM lies between the two component peaks... between min and max.
-	lo, hi := math.Min(pl, pt), math.Max(pl, pt)
-	if gm < lo-1e-12 || gm > hi+1e-12 {
-		t.Errorf("GM %g outside [%g, %g]", gm, lo, hi)
-	}
-	if _, err := GeometricMeanPGA(Record{}); err == nil {
-		t.Error("invalid record accepted")
-	}
-}

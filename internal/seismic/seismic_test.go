@@ -228,25 +228,3 @@ func TestSignificantDurationErrors(t *testing.T) {
 		t.Error("invalid trace accepted")
 	}
 }
-
-func TestBracketedDuration(t *testing.T) {
-	tr := Trace{DT: 0.1, Data: []float64{0, 0.5, -3, 0.1, 2.5, 0.2, 0}}
-	d, err := BracketedDuration(tr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First exceedance at i=2, last at i=4: (4-2)*0.1 = 0.2.
-	if math.Abs(d-0.2) > 1e-12 {
-		t.Errorf("bracketed duration = %g, want 0.2", d)
-	}
-	d, err = BracketedDuration(tr, 10)
-	if err != nil || d != 0 {
-		t.Errorf("never exceeded: got %g, %v", d, err)
-	}
-	if _, err := BracketedDuration(tr, 0); err == nil {
-		t.Error("zero threshold accepted")
-	}
-	if _, err := BracketedDuration(Trace{}, 1); err == nil {
-		t.Error("invalid trace accepted")
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"accelproc/internal/seismic"
+	"accelproc/internal/storage"
 )
 
 // Failure injection: every parser must reject corrupted inputs with an
@@ -188,6 +189,49 @@ func TestFileHelpersRoundTrip(t *testing.T) {
 	}
 	if got.Station != v.Station || len(got.Accel[0]) != len(v.Accel[0]) {
 		t.Errorf("file round trip mismatch")
+	}
+}
+
+// TestWriteFileReplacesInode pins the path-only writers' temp-then-rename:
+// overwriting a product that shares its inode with a hardlink (as the
+// artifact cache stages them) must bind the path to a fresh inode, leave the
+// other name's bytes alone, leave no temp file behind, and write the same
+// bytes as the workspace writer.
+func TestWriteFileReplacesInode(t *testing.T) {
+	dir := t.TempDir()
+	v := sampleV1(rand.New(rand.NewSource(13)))
+	path := filepath.Join(dir, V1FileName(v.Station))
+	link := filepath.Join(dir, "blob")
+	old := []byte("cached bytes")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Link(path, link); err != nil {
+		t.Skipf("hardlinks unsupported: %v", err)
+	}
+	if err := WriteV1File(path, v); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(link); err != nil || !bytes.Equal(got, old) {
+		t.Errorf("hardlinked name = %q, %v; want its old bytes", got, err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temp files left: %v", tmps)
+	}
+	ref := filepath.Join(dir, "ref.v1")
+	if err := WriteV1FileFS(storage.OS{}, ref, v); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("WriteV1File bytes differ from WriteV1FileFS(storage.OS{})")
 	}
 }
 

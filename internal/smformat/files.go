@@ -1,11 +1,7 @@
 package smformat
 
 import (
-	"compress/gzip"
-	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"accelproc/internal/seismic"
 )
@@ -59,129 +55,48 @@ func FourierPlotFileName(station string) string { return station + "f.ps" }
 // ResponsePlotFileName returns "<station>r.ps".
 func ResponsePlotFileName(station string) string { return station + "r.ps" }
 
-// writerTo abstracts the Write method shared by every format type.
-type writerTo interface{ Write(io.Writer) error }
+// osFS is the FS the path-only wrappers below go through: the plain
+// filesystem, with each write landing in a sibling temp file that is renamed
+// into place.  The destination therefore only ever holds a complete file,
+// and an overwrite binds the path to a fresh inode instead of truncating one
+// the destination may share with a hardlink (the artifact cache stages
+// products that way).
+type osFS struct{}
 
-// writeFile writes one product file (create, write, close, with the first
-// error reported).  Paths ending in ".gz" are written gzip-compressed —
-// the storage mode of long-term strong-motion archives.
-//
-// The bytes land in a sibling temp file that is renamed into place, so the
-// destination only ever holds a complete file, and — load-bearing for the
-// artifact cache's hardlink staging — an overwrite binds the path to a fresh
-// inode instead of truncating one the destination may share with a staged
-// hardlink.
-func writeFile(path string, v writerTo) error {
+func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
+
+func (osFS) WriteFile(path string, data []byte, perm os.FileMode) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("smformat: create %s: %w", path, err)
-	}
-	var werr error
-	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(f)
-		werr = v.Write(gz)
-		if cerr := gz.Close(); werr == nil {
-			werr = cerr
-		}
-	} else {
-		werr = v.Write(f)
-	}
-	cerr := f.Close()
-	if werr != nil {
+	if err := os.WriteFile(tmp, data, perm); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("smformat: write %s: %w", path, werr)
-	}
-	if cerr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("smformat: close %s: %w", path, cerr)
+		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("smformat: replace %s: %w", path, err)
+		return err
 	}
 	return nil
 }
 
 // WriteV1File writes a multiplexed V1 to path.
-func WriteV1File(path string, v V1) error { return writeFile(path, v) }
-
-// WriteV1ComponentFile writes a per-component V1 to path.
-func WriteV1ComponentFile(path string, v V1Component) error { return writeFile(path, v) }
+func WriteV1File(path string, v V1) error { return WriteV1FileFS(osFS{}, path, v) }
 
 // WriteV2File writes a V2 to path.
-func WriteV2File(path string, v V2) error { return writeFile(path, v) }
-
-// WriteFourierFile writes an F file to path.
-func WriteFourierFile(path string, f Fourier) error { return writeFile(path, f) }
-
-// WriteResponseFile writes an R file to path.
-func WriteResponseFile(path string, r Response) error { return writeFile(path, r) }
-
-// WriteGEMFile writes a GEM export to path.
-func WriteGEMFile(path string, g GEM) error { return writeFile(path, g) }
-
-// WriteFileListFile writes a file list to path.
-func WriteFileListFile(path string, l FileList) error { return writeFile(path, l) }
-
-// WriteFilterParamsFile writes a filter-parameter file to path.
-func WriteFilterParamsFile(path string, p FilterParams) error { return writeFile(path, p) }
-
-// WriteMaxValuesFile writes a max-values file to path.
-func WriteMaxValuesFile(path string, m MaxValues) error { return writeFile(path, m) }
-
-// readFile opens path and parses it with parse, transparently decompressing
-// ".gz" archives.
-func readFile[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
-	var zero T
-	f, err := os.Open(path)
-	if err != nil {
-		return zero, fmt.Errorf("smformat: open %s: %w", path, err)
-	}
-	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return zero, fmt.Errorf("smformat: decompress %s: %w", path, err)
-		}
-		defer gz.Close()
-		r = gz
-	}
-	v, err := parse(r)
-	if err != nil {
-		return zero, fmt.Errorf("smformat: parse %s: %w", path, err)
-	}
-	return v, nil
-}
+func WriteV2File(path string, v V2) error { return WriteV2FileFS(osFS{}, path, v) }
 
 // ReadV1File parses the multiplexed V1 at path.
-func ReadV1File(path string) (V1, error) { return readFile(path, ParseV1) }
+func ReadV1File(path string) (V1, error) { return ReadV1FileFS(osFS{}, path) }
 
 // ReadV1ComponentFile parses the per-component V1 at path.
 func ReadV1ComponentFile(path string) (V1Component, error) {
-	return readFile(path, ParseV1Component)
+	return ReadV1ComponentFileFS(osFS{}, path)
 }
 
 // ReadV2File parses the V2 at path.
-func ReadV2File(path string) (V2, error) { return readFile(path, ParseV2) }
-
-// ReadFourierFile parses the F file at path.
-func ReadFourierFile(path string) (Fourier, error) { return readFile(path, ParseFourier) }
+func ReadV2File(path string) (V2, error) { return ReadV2FileFS(osFS{}, path) }
 
 // ReadResponseFile parses the R file at path.
-func ReadResponseFile(path string) (Response, error) { return readFile(path, ParseResponse) }
-
-// ReadGEMFile parses the GEM export at path.
-func ReadGEMFile(path string) (GEM, error) { return readFile(path, ParseGEM) }
-
-// ReadFileListFile parses the file list at path.
-func ReadFileListFile(path string) (FileList, error) { return readFile(path, ParseFileList) }
-
-// ReadFilterParamsFile parses the filter-parameter file at path.
-func ReadFilterParamsFile(path string) (FilterParams, error) {
-	return readFile(path, ParseFilterParams)
-}
+func ReadResponseFile(path string) (Response, error) { return ReadResponseFileFS(osFS{}, path) }
 
 // ReadMaxValuesFile parses the max-values file at path.
-func ReadMaxValuesFile(path string) (MaxValues, error) { return readFile(path, ParseMaxValues) }
+func ReadMaxValuesFile(path string) (MaxValues, error) { return ReadMaxValuesFileFS(osFS{}, path) }

@@ -2,39 +2,27 @@ package smformat
 
 import (
 	"bytes"
-	"compress/gzip"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
 // FS is the minimal storage surface the format codecs need.  It is satisfied
 // structurally by any workspace backend (see internal/storage) without this
-// package importing one — keeping smformat dependency-free the way the plain
-// os wrappers in files.go are.  Atomicity of WriteFile (temp + rename or an
-// in-memory swap) is the backend's concern.
+// package importing one; files.go's osFS serves the path-only wrappers.
+// Atomicity of WriteFile (temp + rename or an in-memory swap) is the
+// backend's concern.
 type FS interface {
 	ReadFile(path string) ([]byte, error)
 	WriteFile(path string, data []byte, perm os.FileMode) error
 }
 
-// writeFileFS renders v to a buffer (gzip-compressed for ".gz" paths) and
-// hands the complete payload to the backend in one WriteFile call.
-func writeFileFS(fsys FS, path string, v writerTo) error {
+// writeFileFS renders v to a buffer and hands the complete payload to the
+// backend in one WriteFile call.
+func writeFileFS(fsys FS, path string, v StreamWritable) error {
 	var buf bytes.Buffer
-	var werr error
-	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(&buf)
-		werr = v.Write(gz)
-		if cerr := gz.Close(); werr == nil {
-			werr = cerr
-		}
-	} else {
-		werr = v.Write(&buf)
-	}
-	if werr != nil {
-		return fmt.Errorf("smformat: write %s: %w", path, werr)
+	if err := v.Write(&buf); err != nil {
+		return fmt.Errorf("smformat: write %s: %w", path, err)
 	}
 	if err := fsys.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		return fmt.Errorf("smformat: write %s: %w", path, err)
@@ -42,24 +30,14 @@ func writeFileFS(fsys FS, path string, v writerTo) error {
 	return nil
 }
 
-// readFileFS reads path through the backend and parses it with parse,
-// transparently decompressing ".gz" archives.
+// readFileFS reads path through the backend and parses it with parse.
 func readFileFS[T any](fsys FS, path string, parse func(io.Reader) (T, error)) (T, error) {
 	var zero T
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return zero, fmt.Errorf("smformat: open %s: %w", path, err)
 	}
-	var r io.Reader = bytes.NewReader(data)
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(r)
-		if err != nil {
-			return zero, fmt.Errorf("smformat: decompress %s: %w", path, err)
-		}
-		defer gz.Close()
-		r = gz
-	}
-	v, err := parse(r)
+	v, err := parse(bytes.NewReader(data))
 	if err != nil {
 		return zero, fmt.Errorf("smformat: parse %s: %w", path, err)
 	}
@@ -117,9 +95,6 @@ func ReadFourierFileFS(fsys FS, path string) (Fourier, error) {
 func ReadResponseFileFS(fsys FS, path string) (Response, error) {
 	return readFileFS(fsys, path, ParseResponse)
 }
-
-// ReadGEMFileFS parses the GEM export at path through fsys.
-func ReadGEMFileFS(fsys FS, path string) (GEM, error) { return readFileFS(fsys, path, ParseGEM) }
 
 // ReadFileListFileFS parses the file list at path through fsys.
 func ReadFileListFileFS(fsys FS, path string) (FileList, error) {

@@ -48,7 +48,7 @@ type StreamWritable interface{ Write(w io.Writer) error }
 // WriteFileCreateFS serializes v to path through fsys.Create instead of a
 // buffered WriteFile: the bytes stream to a temp file and rename into place
 // on success, so the value never has to be double-buffered.  The emitted
-// bytes are identical to writeFileFS's for non-".gz" paths.
+// bytes are identical to writeFileFS's.
 func WriteFileCreateFS(fsys StreamFS, path string, v StreamWritable) error {
 	wc, err := fsys.Create(path)
 	if err != nil {

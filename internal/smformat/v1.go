@@ -43,16 +43,6 @@ func FromRecord(rec seismic.Record) V1 {
 	return v
 }
 
-// Record converts the V1 content back to a domain record.
-func (v V1) Record() seismic.Record {
-	var rec seismic.Record
-	rec.Station = v.Station
-	for ci := range v.Accel {
-		rec.Accel[ci] = seismic.Trace{DT: v.DT, Data: v.Accel[ci]}
-	}
-	return rec
-}
-
 // Validate checks internal consistency of the V1 content.
 func (v V1) Validate() error {
 	if v.Station == "" {
