@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test benchmark-test race chaos cache-ablation cache-persist crash-resume fleet-bench stream-bench fuzz-smoke ingest-check bench ci
+.PHONY: all fmt vet build test benchmark-test fma race chaos cache-ablation cache-persist crash-resume fleet-bench stream-bench fuzz-smoke ingest-check bench ci
 
 all: build
 
@@ -29,6 +29,12 @@ test:
 # exported-API change there must be checked against it here.
 benchmark-test:
 	GOPROXY=off GOFLAGS= $(GO) -C benchmark test .
+
+# The register-blocked FIR and Duhamel kernels must match their
+# one-output reference loops bit for bit also where the compiler may fuse
+# acc += t*x into one FMA (GOAMD64=v3).
+fma:
+	GOAMD64=v3 $(GO) test -count=1 ./internal/dsp/ ./internal/response/
 
 # The parallel runtime, the dataflow scheduler, the fleet scheduler, and
 # the pipeline drivers carry the concurrency and the occupancy
@@ -100,4 +106,4 @@ ingest-check:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-ci: fmt vet build test benchmark-test fuzz-smoke race chaos cache-ablation cache-persist crash-resume fleet-bench stream-bench ingest-check
+ci: fmt vet build test benchmark-test fma fuzz-smoke race chaos cache-ablation cache-persist crash-resume fleet-bench stream-bench ingest-check

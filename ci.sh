@@ -25,8 +25,8 @@ go test ./...
 echo "== benchmark module (its own go.mod, so go build ./... never compiles it; it imports the pipeline's exported API) =="
 GOPROXY=off GOFLAGS= go -C benchmark test .
 
-echo "== FIR kernel under FMA (GOAMD64=v3 may fuse acc += t*x; blocked and reference loops must still agree bit for bit) =="
-GOAMD64=v3 go test -count=1 ./internal/dsp/
+echo "== FIR and Duhamel kernels under FMA (GOAMD64=v3 may fuse acc += t*x; blocked and reference loops must still agree bit for bit) =="
+GOAMD64=v3 go test -count=1 ./internal/dsp/ ./internal/response/
 
 echo "== schedule independence (tests whose outcome once depended on goroutine timing, 30 runs each) =="
 go test -count=30 -run 'TestPipelinedTargetedChaosMatchesFullParallel|TestArtifactCacheCounters' ./internal/pipeline/

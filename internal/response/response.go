@@ -88,19 +88,35 @@ func (c Config) withDefaults() Config {
 
 // Validate reports configurations the solvers cannot honor.
 func (c Config) Validate() error {
-	if c.Damping <= 0 || c.Damping >= 1 {
-		return fmt.Errorf("response: damping %g outside (0,1)", c.Damping)
+	if err := checkDamping(c.Damping); err != nil {
+		return err
 	}
 	if len(c.Periods) == 0 {
 		return fmt.Errorf("response: empty period grid")
 	}
 	for i, p := range c.Periods {
-		if p <= 0 {
-			return fmt.Errorf("response: period %d is %g, want > 0", i, p)
+		if err := checkPeriod(p); err != nil {
+			return fmt.Errorf("response: period %d: %w", i, err)
 		}
 		if i > 0 && p <= c.Periods[i-1] {
 			return fmt.Errorf("response: period grid not strictly increasing at %d", i)
 		}
+	}
+	return nil
+}
+
+// checkDamping rejects a damping ratio outside (0,1), NaN included.
+func checkDamping(d float64) error {
+	if !(d > 0 && d < 1) {
+		return fmt.Errorf("response: damping %g outside (0,1)", d)
+	}
+	return nil
+}
+
+// checkPeriod rejects a period that is not positive and finite, NaN included.
+func checkPeriod(p float64) error {
+	if !(p > 0) || math.IsInf(p, 1) {
+		return fmt.Errorf("response: period %g must be positive and finite", p)
 	}
 	return nil
 }
@@ -173,11 +189,11 @@ func Oscillator(accel seismic.Trace, period, damping float64, m Method) (sd, sv,
 	if err := accel.Validate(); err != nil {
 		return 0, 0, 0, err
 	}
-	if period <= 0 {
-		return 0, 0, 0, fmt.Errorf("response: period %g must be positive", period)
+	if err := checkPeriod(period); err != nil {
+		return 0, 0, 0, err
 	}
-	if damping <= 0 || damping >= 1 {
-		return 0, 0, 0, fmt.Errorf("response: damping %g outside (0,1)", damping)
+	if err := checkDamping(damping); err != nil {
+		return 0, 0, 0, err
 	}
 	if m == NigamJennings {
 		sd, sv, sa = nigamJennings(accel.Data, accel.DT, period, damping)
@@ -190,8 +206,8 @@ func Oscillator(accel seismic.Trace, period, damping float64, m Method) (sd, sv,
 // duhamel evaluates the Duhamel integral by direct convolution: for every
 // output sample the full history is re-summed, reproducing the O(D²) cost
 // per period of the legacy implementation.  Relative velocity is obtained
-// from the closed-form derivative kernel (a second convolution folded into
-// the same pass), keeping a single history loop.
+// from the closed-form derivative kernel, a second convolution over the
+// same history.
 func duhamel(a []float64, dt, period, xi float64) (sd, sv, sa float64) {
 	n := len(a)
 	return duhamelWith(a, dt, period, xi, make([]float64, n), make([]float64, n))
@@ -199,7 +215,15 @@ func duhamel(a []float64, dt, period, xi float64) (sd, sv, sa float64) {
 
 // duhamelWith is duhamel with caller-provided kernel scratch (len(a) each),
 // letting Spectrum reuse two buffers across its whole period grid.
-func duhamelWith(a []float64, dt, period, xi float64, h, hv []float64) (sd, sv, sa float64) {
+//
+// Output i sums a[j]*h[i-j] over j = 0..i.  The kernel tables are stored
+// reversed, hr[n-1-k] = h[k], so output i reads hr[n-1-i+j] alongside a[j]
+// and both walk forward.  Outputs are computed four at a time, each in its
+// own accumulator, so one pass over the shared history j = 0..i feeds four
+// independent add chains; outputs i+1..i+3 then add their private tails
+// j = i+1..i+q.  Every sum keeps the ascending-j order of a one-output-at-
+// a-time loop, so the spectra are bit-identical to it.
+func duhamelWith(a []float64, dt, period, xi float64, hr, hvr []float64) (sd, sv, sa float64) {
 	n := len(a)
 	w := 2 * math.Pi / period
 	wd := w * math.Sqrt(1-xi*xi)
@@ -212,17 +236,11 @@ func duhamelWith(a []float64, dt, period, xi float64, h, hv []float64) (sd, sv, 
 		tk := float64(k) * dt
 		e := math.Exp(-xi * w * tk)
 		s, c := math.Sincos(wd * tk)
-		h[k] = e * s
-		hv[k] = e * (wd*c - xi*w*s)
+		hr[n-1-k] = e * s
+		hvr[n-1-k] = e * (wd*c - xi*w*s)
 	}
 	scale := -dt / wd
-	for i := 0; i < n; i++ {
-		var du, dv float64
-		for j := 0; j <= i; j++ {
-			aj := a[j]
-			du += aj * h[i-j]
-			dv += aj * hv[i-j]
-		}
+	peak := func(du, dv float64) {
 		u := scale * du
 		v := scale * dv
 		if au := math.Abs(u); au > sd {
@@ -236,7 +254,86 @@ func duhamelWith(a []float64, dt, period, xi float64, h, hv []float64) (sd, sv, 
 			sa = aa
 		}
 	}
+	// tail returns acc plus output p's terms j = lo..p of kernel table r.
+	tail := func(acc float64, r []float64, p, lo int) float64 {
+		return dotFrom(acc, a[:p+1], r[n-1-p:], lo)
+	}
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		u0, u1, u2, u3 := conv4(a[:i+1], hr[n-4-i:])
+		v0, v1, v2, v3 := conv4(a[:i+1], hvr[n-4-i:])
+		peak(u0, v0)
+		peak(tail(u1, hr, i+1, i+1), tail(v1, hvr, i+1, i+1))
+		peak(tail(u2, hr, i+2, i+1), tail(v2, hvr, i+2, i+1))
+		peak(tail(u3, hr, i+3, i+1), tail(v3, hvr, i+3, i+1))
+	}
+	for ; i < n; i++ {
+		peak(tail(0, hr, i, 0), tail(0, hvr, i, 0))
+	}
 	return sd, sv, sa
+}
+
+// conv4 returns the shared-history sums of four consecutive outputs,
+//
+//	s_q = sum_{j=0}^{len(as)-1} as[j] * r[j+3-q],  q = 0..3,
+//
+// each added in ascending j.  r holds len(as)+3 reversed kernel values, so
+// each step loads one new kernel value and the other three rotate down a
+// register.  The main loop takes four steps per trip and loads each new
+// value into the register whose value no output needs any more, so the
+// rotation is a renaming and costs no copies.  It is kept out of line so
+// that its loop gets the registers to itself rather than sharing them with
+// duhamelWith's block bookkeeping: inlined there, it ran no faster than
+// the one-output loop.
+//
+//go:noinline
+func conv4(as, r []float64) (s0, s1, s2, s3 float64) {
+	k3, k2, k1 := r[0], r[1], r[2]
+	r = r[3 : 3+len(as)]
+	j := 0
+	for ; j+4 <= len(as); j += 4 {
+		a, k := as[j:j+4:j+4], r[j:j+4:j+4]
+		k0 := k[0]
+		s0 += a[0] * k0
+		s1 += a[0] * k1
+		s2 += a[0] * k2
+		s3 += a[0] * k3
+		k3 = k[1]
+		s0 += a[1] * k3
+		s1 += a[1] * k0
+		s2 += a[1] * k1
+		s3 += a[1] * k2
+		k2 = k[2]
+		s0 += a[2] * k2
+		s1 += a[2] * k3
+		s2 += a[2] * k0
+		s3 += a[2] * k1
+		k1 = k[3]
+		s0 += a[3] * k1
+		s1 += a[3] * k2
+		s2 += a[3] * k3
+		s3 += a[3] * k0
+		// k1, k2, k3 hold r[j+3], r[j+2], r[j+1]: the rotation's order.
+	}
+	for ; j < len(as); j++ {
+		aj, k0 := as[j], r[j]
+		s0 += aj * k0
+		s1 += aj * k1
+		s2 += aj * k2
+		s3 += aj * k3
+		k1, k2, k3 = k0, k1, k2
+	}
+	return s0, s1, s2, s3
+}
+
+// dotFrom returns acc + sum_{j=lo}^{len(as)-1} as[j]*r[j], added in
+// ascending j; an empty range returns acc unchanged.
+func dotFrom(acc float64, as, r []float64, lo int) float64 {
+	r = r[:len(as)]
+	for j := lo; j < len(as); j++ {
+		acc += as[j] * r[j]
+	}
+	return acc
 }
 
 // nigamJennings advances the oscillator with the exact solution for

@@ -22,11 +22,16 @@ func benchTrace(b *testing.B, n int) seismic.Trace {
 	return rec.Accel[0]
 }
 
+// paperSamples is the mean component length of the repo benchmark's paper
+// workload (the largest Table I event at scale 0.025: 9,600 points over 19
+// records).
+const paperSamples = 505
+
 // BenchmarkOscillator contrasts the legacy O(D^2) Duhamel convolution with
 // the O(D) Nigam-Jennings recursion across record lengths — the scaling gap
 // that makes stage IX dominate the paper's sequential runtime.
 func BenchmarkOscillator(b *testing.B) {
-	for _, n := range []int{1000, 4000, 16000} {
+	for _, n := range []int{paperSamples, 1000, 4000, 16000} {
 		tr := benchTrace(b, n)
 		for _, m := range []Method{Duhamel, NigamJennings} {
 			m := m
@@ -56,21 +61,22 @@ func toV2(tr seismic.Trace) smformat.V2 {
 	}
 }
 
-// BenchmarkSpectrum measures a full spectrum computation (many periods) at
-// a typical record length, per method.
+// BenchmarkSpectrum measures a full spectrum computation (many periods) per
+// method: at a typical record length with 16 periods, and at the paper
+// workload's shape (505 samples, 32 periods).
 func BenchmarkSpectrum(b *testing.B) {
-	tr := benchTrace(b, 4000)
-	v2 := toV2(tr)
-	for _, m := range []Method{Duhamel, NigamJennings} {
-		m := m
-		b.Run(m.String(), func(b *testing.B) {
-			cfg := Config{Method: m, Periods: LogPeriods(0.05, 10, 16)}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Spectrum(v2, cfg); err != nil {
-					b.Fatal(err)
+	for _, shape := range []struct{ n, periods int }{{4000, 16}, {paperSamples, 32}} {
+		v2 := toV2(benchTrace(b, shape.n))
+		for _, m := range []Method{Duhamel, NigamJennings} {
+			cfg := Config{Method: m, Periods: LogPeriods(0.05, 10, shape.periods)}
+			b.Run(fmt.Sprintf("%s/n=%d/periods=%d", m, shape.n, shape.periods), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Spectrum(v2, cfg); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -65,6 +65,11 @@ func TestConfigValidate(t *testing.T) {
 		{Damping: 0.05, Periods: []float64{0, 1}},
 		{Damping: 0.05, Periods: []float64{2, 1}},
 		{Damping: 0.05, Periods: []float64{1, 1}},
+		{Damping: math.NaN(), Periods: []float64{1}},
+		{Damping: math.Inf(1), Periods: []float64{1}},
+		{Damping: 0.05, Periods: []float64{math.NaN()}},
+		{Damping: 0.05, Periods: []float64{1, math.NaN()}},
+		{Damping: 0.05, Periods: []float64{1, math.Inf(1)}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -198,6 +203,15 @@ func TestOscillatorErrors(t *testing.T) {
 	if _, _, _, err := Oscillator(tr, 1, 1, Duhamel); err == nil {
 		t.Error("critical damping accepted")
 	}
+	if _, _, _, err := Oscillator(tr, math.Inf(1), 0.05, Duhamel); err == nil {
+		t.Error("infinite period accepted")
+	}
+	if _, _, _, err := Oscillator(tr, math.NaN(), 0.05, NigamJennings); err == nil {
+		t.Error("NaN period accepted")
+	}
+	if _, _, _, err := Oscillator(tr, 1, math.NaN(), NigamJennings); err == nil {
+		t.Error("NaN damping accepted")
+	}
 }
 
 func TestSpectrumProducesValidRFile(t *testing.T) {
@@ -249,5 +263,78 @@ func TestDefaultPeriodsSpanPaperFigure4(t *testing.T) {
 	p := DefaultPeriods()
 	if p[0] != 0.02 || math.Abs(p[len(p)-1]-20) > 1e-9 {
 		t.Errorf("span = [%g, %g], want [0.02, 20]", p[0], p[len(p)-1])
+	}
+}
+
+// referenceDuhamel is the one-output-at-a-time Duhamel loop that the
+// blocked kernel replaced: each output re-sums its whole history with u
+// and v in one pass.
+func referenceDuhamel(a []float64, dt, period, xi float64) (sd, sv, sa float64) {
+	n := len(a)
+	w := 2 * math.Pi / period
+	wd := w * math.Sqrt(1-xi*xi)
+	h := make([]float64, n)
+	hv := make([]float64, n)
+	for k := 0; k < n; k++ {
+		tk := float64(k) * dt
+		e := math.Exp(-xi * w * tk)
+		s, c := math.Sincos(wd * tk)
+		h[k] = e * s
+		hv[k] = e * (wd*c - xi*w*s)
+	}
+	scale := -dt / wd
+	for i := 0; i < n; i++ {
+		var du, dv float64
+		for j := 0; j <= i; j++ {
+			aj := a[j]
+			du += aj * h[i-j]
+			dv += aj * hv[i-j]
+		}
+		u := scale * du
+		v := scale * dv
+		if au := math.Abs(u); au > sd {
+			sd = au
+		}
+		if av := math.Abs(v); av > sv {
+			sv = av
+		}
+		if aa := math.Abs(-(2*xi*w*v + w*w*u)); aa > sa {
+			sa = aa
+		}
+	}
+	return sd, sv, sa
+}
+
+// The blocked kernel must reproduce the reference loop bit for bit: every
+// n%4 tail, records shorter than one block, the paper workload's component
+// length (~505 samples) and a long record, at periods across the grid.
+func TestDuhamelKernelMatchesReference(t *testing.T) {
+	rec, err := synth.Record(synth.Params{
+		Station: "SS01", Seed: 7, DT: 0.01, Samples: 4000,
+		Magnitude: 5.5, Distance: 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := rec.Accel[0]
+	var lengths []int
+	for n := 1; n <= 300; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 503, 504, 505, 506, 4000)
+	for _, n := range lengths {
+		a := full.Data[:n]
+		for _, T := range LogPeriods(0.05, 10, 5) {
+			sd, sv, sa := duhamel(a, full.DT, T, 0.05)
+			rd, rv, ra := referenceDuhamel(a, full.DT, T, 0.05)
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{{"SD", sd, rd}, {"SV", sv, rv}, {"SA", sa, ra}} {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Fatalf("n=%d T=%g %s: kernel %v, reference %v", n, T, c.name, c.got, c.want)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package smformat
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -167,6 +168,14 @@ func TestWriteRejectsInvalidStructs(t *testing.T) {
 	}
 	if err := (Response{Station: "A", Damping: 0.05, Periods: []float64{2, 1}, SA: []float64{1, 1}, SV: []float64{1, 1}, SD: []float64{1, 1}}).Write(&buf); err == nil {
 		t.Error("non-monotonic periods accepted")
+	}
+	if err := (Response{Station: "A", Damping: math.NaN(), Periods: []float64{1}, SA: []float64{1}, SV: []float64{1}, SD: []float64{1}}).Write(&buf); err == nil {
+		t.Error("NaN damping accepted")
+	}
+	for _, p := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		if err := (Response{Station: "A", Damping: 0.05, Periods: []float64{p}, SA: []float64{1}, SV: []float64{1}, SD: []float64{1}}).Write(&buf); err == nil {
+			t.Errorf("period %g accepted", p)
+		}
 	}
 	if err := (GEM{Station: "A", Kind: 'X', Quantity: 'A', Abscissa: []float64{1}, Values: []float64{1}}).Write(&buf); err == nil {
 		t.Error("bad GEM kind accepted")

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 
 	"accelproc/internal/seismic"
 )
@@ -28,7 +29,7 @@ func (r Response) Validate() error {
 	if r.Station == "" {
 		return fmt.Errorf("smformat: R file with empty station")
 	}
-	if r.Damping <= 0 || r.Damping >= 1 {
+	if !(r.Damping > 0 && r.Damping < 1) { // also rejects NaN
 		return fmt.Errorf("smformat: R %s%s damping %g outside (0,1)", r.Station, r.Component.Suffix(), r.Damping)
 	}
 	n := len(r.Periods)
@@ -39,8 +40,11 @@ func (r Response) Validate() error {
 		return fmt.Errorf("smformat: R %s%s spectra lengths differ (T %d, SA %d, SV %d, SD %d)",
 			r.Station, r.Component.Suffix(), n, len(r.SA), len(r.SV), len(r.SD))
 	}
-	for i := 1; i < n; i++ {
-		if r.Periods[i] <= r.Periods[i-1] {
+	for i, p := range r.Periods {
+		if !(p > 0) || math.IsInf(p, 1) {
+			return fmt.Errorf("smformat: R %s%s period %d is %g, want positive and finite", r.Station, r.Component.Suffix(), i, p)
+		}
+		if i > 0 && p <= r.Periods[i-1] {
 			return fmt.Errorf("smformat: R %s%s periods not strictly increasing at %d", r.Station, r.Component.Suffix(), i)
 		}
 	}
