@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test benchmark-test fma race chaos cache-ablation cache-persist crash-resume fleet-bench stream-bench fuzz-smoke ingest-check bench ci
+.PHONY: all fmt vet build test benchmark-test fma schedule race chaos cache-ablation cache-persist crash-resume fleet-bench stream-bench fuzz-smoke ingest-check bench ci
 
 all: build
 
@@ -32,9 +32,29 @@ benchmark-test:
 
 # The register-blocked FIR and Duhamel kernels must match their
 # one-output reference loops bit for bit also where the compiler may fuse
-# acc += t*x into one FMA (GOAMD64=v3).
+# acc += t*x into one FMA.  Go does not fuse on amd64 (GOAMD64=v3
+# included) but does on arm64, so the kernels write their products as
+# explicit float64(a*b) conversions, which the spec forbids fusing, and an
+# arm64 build of them must show no fused instruction.
 fma:
 	GOAMD64=v3 $(GO) test -count=1 ./internal/dsp/ ./internal/response/
+	@dir="$$(mktemp -d)"; \
+	GOARCH=arm64 $(GO) test -c -o "$$dir/dsp.test" ./internal/dsp/ && \
+	GOARCH=arm64 $(GO) test -c -o "$$dir/response.test" ./internal/response/ && \
+	$(GO) tool objdump -s 'dsp\.(firKernel|firShared4|firDot|referenceFIR)$$' "$$dir/dsp.test" >"$$dir/kernels.s" && \
+	$(GO) tool objdump -s 'response\.(duhamelWith|conv4|dotFrom|referenceDuhamel)' "$$dir/response.test" >>"$$dir/kernels.s"; \
+	status=$$?; \
+	if [ $$status -eq 0 ] && { [ "$$(grep -c '^TEXT' "$$dir/kernels.s")" -lt 6 ] || grep -E 'FN?M(ADD|SUB)' "$$dir/kernels.s"; }; then \
+		echo "fused multiply-add in a bit-exact kernel, or a kernel missing from the arm64 listing"; status=1; \
+	fi; \
+	rm -rf "$$dir"; exit $$status
+
+# Schedule independence: tests whose outcome once depended on goroutine
+# timing, and the staged variants' products and span tree now that they
+# run on the concurrent dataflow executor, 30 runs each.
+schedule:
+	$(GO) test -count=30 -run 'TestPipelinedTargetedChaosMatchesFullParallel|TestArtifactCacheCounters|TestVariantsProduceIdenticalOutputs|TestSpanTreeMatchesTimings' ./internal/pipeline/
+	$(GO) test -count=30 -run 'TestRunTraceAndMetrics' ./cmd/smproc/
 
 # The parallel runtime, the dataflow scheduler, the fleet scheduler, and
 # the pipeline drivers carry the concurrency and the occupancy
@@ -106,4 +126,4 @@ ingest-check:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-ci: fmt vet build test benchmark-test fma fuzz-smoke race chaos cache-ablation cache-persist crash-resume fleet-bench stream-bench ingest-check
+ci: fmt vet build test benchmark-test fma schedule fuzz-smoke race chaos cache-ablation cache-persist crash-resume fleet-bench stream-bench ingest-check

@@ -25,11 +25,22 @@ go test ./...
 echo "== benchmark module (its own go.mod, so go build ./... never compiles it; it imports the pipeline's exported API) =="
 GOPROXY=off GOFLAGS= go -C benchmark test .
 
-echo "== FIR and Duhamel kernels under FMA (GOAMD64=v3 may fuse acc += t*x; blocked and reference loops must still agree bit for bit) =="
+echo "== FIR and Duhamel kernels under FMA (no fused multiply-add in the bit-exact kernels or their reference loops; arm64 fuses where amd64 does not) =="
 GOAMD64=v3 go test -count=1 ./internal/dsp/ ./internal/response/
+fmadir="$(mktemp -d)"
+GOARCH=arm64 go test -c -o "$fmadir/dsp.test" ./internal/dsp/
+GOARCH=arm64 go test -c -o "$fmadir/response.test" ./internal/response/
+go tool objdump -s 'dsp\.(firKernel|firShared4|firDot|referenceFIR)$' "$fmadir/dsp.test" >"$fmadir/kernels.s"
+go tool objdump -s 'response\.(duhamelWith|conv4|dotFrom|referenceDuhamel)' "$fmadir/response.test" >>"$fmadir/kernels.s"
+if [ "$(grep -c '^TEXT' "$fmadir/kernels.s")" -lt 6 ] || grep -E 'FN?M(ADD|SUB)' "$fmadir/kernels.s"; then
+	echo "fused multiply-add in a bit-exact kernel, or a kernel missing from the arm64 listing"
+	rm -rf "$fmadir"
+	exit 1
+fi
+rm -rf "$fmadir"
 
-echo "== schedule independence (tests whose outcome once depended on goroutine timing, 30 runs each) =="
-go test -count=30 -run 'TestPipelinedTargetedChaosMatchesFullParallel|TestArtifactCacheCounters' ./internal/pipeline/
+echo "== schedule independence (tests whose outcome once depended on goroutine timing, and the staged variants' products and span tree on the concurrent dataflow executor, 30 runs each) =="
+go test -count=30 -run 'TestPipelinedTargetedChaosMatchesFullParallel|TestArtifactCacheCounters|TestVariantsProduceIdenticalOutputs|TestSpanTreeMatchesTimings' ./internal/pipeline/
 go test -count=30 -run 'TestRunTraceAndMetrics' ./cmd/smproc/
 
 echo "== bench smoke (every benchmark compiles and runs once) =="

@@ -153,7 +153,10 @@ func firKernel(out, taps, x []float64) {
 // len(ts)+3 of them: tap ts[j] meets xs[len(ts)-1-j+q] in output q, so each
 // step loads one new input and the other three rotate down a register.  It
 // is a function of its own so that its loop gets the registers to itself
-// rather than sharing them with firKernel's block bookkeeping.
+// rather than sharing them with firKernel's block bookkeeping.  Its
+// products, and firDot's, are explicit float64 conversions, which the Go
+// spec forbids fusing into a multiply-add, so every architecture rounds
+// them like the one-output reference loop.
 func firShared4(a0, a1, a2 float64, ts, xs []float64) (float64, float64, float64, float64) {
 	var a3 float64
 	i := len(ts) - 1
@@ -161,10 +164,10 @@ func firShared4(a0, a1, a2 float64, ts, xs []float64) (float64, float64, float64
 	x1, x2, x3 := xs[i+1], xs[i+2], xs[i+3]
 	for _, t := range ts {
 		x0 := xs[i]
-		a0 += t * x0
-		a1 += t * x1
-		a2 += t * x2
-		a3 += t * x3
+		a0 += float64(t * x0)
+		a1 += float64(t * x1)
+		a2 += float64(t * x2)
+		a3 += float64(t * x3)
 		x1, x2, x3 = x0, x1, x2
 		i--
 	}
@@ -175,7 +178,7 @@ func firShared4(a0, a1, a2 float64, ts, xs []float64) (float64, float64, float64
 // ascending j; an empty range returns acc unchanged.
 func firDot(acc float64, taps, x []float64, p, jLo, jHi int) float64 {
 	for j := jLo; j <= jHi; j++ {
-		acc += taps[j] * x[p-j]
+		acc += float64(taps[j] * x[p-j])
 	}
 	return acc
 }

@@ -311,7 +311,7 @@ func referenceFIR(taps, x []float64) []float64 {
 		c := i + delay
 		var acc float64
 		for j := max(0, c-(n-1)); j <= min(m-1, c); j++ {
-			acc += taps[j] * x[c-j]
+			acc += float64(taps[j] * x[c-j])
 		}
 		out[i] = acc
 	}

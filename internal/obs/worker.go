@@ -4,7 +4,7 @@ import "time"
 
 // WorkerMonitor aggregates per-worker busy/idle accounting from the
 // parallel runtime into observer metrics.  It structurally satisfies
-// parallel.Monitor and parallel.WaitMonitor without obs importing the
+// parallel.Monitor and dataflow.WaitMonitor without obs importing the
 // parallel package (obs stays dependency-free).
 //
 // Metrics registered under the given scope:

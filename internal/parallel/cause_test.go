@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 )
 
@@ -47,38 +46,6 @@ func TestParallelForAllCancelledStaysCancelled(t *testing.T) {
 	err := ParallelFor(4, 2, func(i int) error { return context.Canceled })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("reported %v, want context.Canceled", err)
-	}
-}
-
-// TestTaskGroupUpgradesCancellationToRealCause submits a cancellation
-// failure first, then a real one: Wait must return the real cause even
-// though it arrived second.
-func TestTaskGroupUpgradesCancellationToRealCause(t *testing.T) {
-	g := NewTaskGroup(1) // one worker serialises the tasks in order
-	var first atomic.Bool
-	g.Go(func() error {
-		first.Store(true)
-		return context.Canceled
-	})
-	g.Go(func() error {
-		if !first.Load() {
-			t.Error("tasks ran out of order on one worker")
-		}
-		return errReal
-	})
-	if err := g.Wait(); !errors.Is(err, errReal) {
-		t.Errorf("Wait() = %v, want the real cause", err)
-	}
-}
-
-func TestTaskGroupKeepsFirstRealCause(t *testing.T) {
-	other := errors.New("second failure")
-	g := NewTaskGroup(1)
-	g.Go(func() error { return errReal })
-	g.Go(func() error { return other })
-	g.Go(func() error { return context.Canceled })
-	if err := g.Wait(); !errors.Is(err, errReal) {
-		t.Errorf("Wait() = %v, want the first real cause", err)
 	}
 }
 

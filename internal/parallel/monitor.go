@@ -8,18 +8,11 @@ import "time"
 //
 // WorkerSpan is called once per worker when a construct finishes: busy is
 // the time the worker spent executing bodies, idle the remainder of its
-// participation (startup, waiting at the join barrier behind slower
-// workers, or — for task groups — waiting for a slot), and tasks the number
-// of iterations or tasks it executed.  Implementations must be safe for
+// participation (startup, or waiting at the join barrier behind slower
+// workers), and tasks the number of iterations it executed.  Implementations must be safe for
 // concurrent use; obs.WorkerMonitor satisfies this interface.
 type Monitor interface {
 	WorkerSpan(worker int, busy, idle time.Duration, tasks int)
-}
-
-// WaitMonitor optionally extends Monitor with per-task queue-wait
-// latencies (time between submitting a task and a worker starting it).
-type WaitMonitor interface {
-	TaskWait(d time.Duration)
 }
 
 // monitoredBody wraps body so each call's duration accumulates into *busy

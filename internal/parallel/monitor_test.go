@@ -6,12 +6,11 @@ import (
 	"time"
 )
 
-// recordingMonitor captures WorkerSpan and TaskWait calls; safe for
-// concurrent use like the contract requires.
+// recordingMonitor captures WorkerSpan calls; safe for concurrent use like
+// the contract requires.
 type recordingMonitor struct {
 	mu    sync.Mutex
 	spans []workerSpan
-	waits []time.Duration
 }
 
 type workerSpan struct {
@@ -23,12 +22,6 @@ type workerSpan struct {
 func (m *recordingMonitor) WorkerSpan(worker int, busy, idle time.Duration, tasks int) {
 	m.mu.Lock()
 	m.spans = append(m.spans, workerSpan{worker, busy, idle, tasks})
-	m.mu.Unlock()
-}
-
-func (m *recordingMonitor) TaskWait(d time.Duration) {
-	m.mu.Lock()
-	m.waits = append(m.waits, d)
 	m.mu.Unlock()
 }
 
@@ -136,34 +129,5 @@ func TestGuidedScheduleImprovesOccupancyOnSkewedLoads(t *testing.T) {
 	if guidedOcc <= staticOcc {
 		t.Errorf("guided occupancy %.3f not better than static %.3f (idle %v vs %v)",
 			guidedOcc, staticOcc, guidedIdle, staticIdle)
-	}
-}
-
-func TestRunTasksMonitoredReportsEveryTask(t *testing.T) {
-	const tasks = 6
-	mon := &recordingMonitor{}
-	fns := make([]func() error, tasks)
-	for i := range fns {
-		fns[i] = func() error {
-			time.Sleep(100 * time.Microsecond)
-			return nil
-		}
-	}
-	if err := RunTasksMonitored(2, mon, fns...); err != nil {
-		t.Fatal(err)
-	}
-	if len(mon.spans) != tasks {
-		t.Fatalf("spans = %d, want one per task", len(mon.spans))
-	}
-	for _, s := range mon.spans {
-		if s.worker != -1 {
-			t.Errorf("task span worker = %d, want -1", s.worker)
-		}
-		if s.tasks != 1 || s.busy <= 0 || s.idle < 0 {
-			t.Errorf("task span = %+v", s)
-		}
-	}
-	if len(mon.waits) != tasks {
-		t.Errorf("queue waits = %d, want %d", len(mon.waits), tasks)
 	}
 }

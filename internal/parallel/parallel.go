@@ -3,15 +3,15 @@
 //
 // The original system described in the paper uses OpenMP pragmas from C++
 // and Fortran: parallel for-loops with static or dynamic scheduling, and
-// explicit task parallelism with taskwait barriers.  This package offers the
-// same primitives on top of goroutines:
+// explicit task parallelism with taskwait barriers.  The pipeline runs both
+// inside one event as layers of a dataflow graph (internal/dataflow); this
+// package offers the fork-join loop on top of goroutines for the levels
+// above it, such as the event-level batch:
 //
 //   - ParallelFor / ParallelForDynamic / ParallelForMonitored: fork-join
 //     loops over an index range, equivalent to "#pragma omp parallel for".
-//   - TaskGroup: explicit task spawning with a Wait barrier, equivalent to
-//     "#pragma omp task" + "#pragma omp taskwait".
 //
-// All primitives accept an explicit worker count so that experiments can
+// The loops accept an explicit worker count so that experiments can
 // sweep thread counts the same way the paper sweeps OpenMP threads; a count
 // of zero (or DefaultWorkers) means "use all available processors", matching
 // the paper's use of omp_get_max_threads().

@@ -35,22 +35,3 @@ func BenchmarkParallelForOverhead(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkTaskGroup measures task spawn + wait cost.
-func BenchmarkTaskGroup(b *testing.B) {
-	for _, tasks := range []int{4, 16, 64} {
-		tasks := tasks
-		b.Run(fmt.Sprintf("tasks=%d", tasks), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g := NewTaskGroup(4)
-				for t := 0; t < tasks; t++ {
-					g.Go(func() error { return nil })
-				}
-				if err := g.Wait(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -49,6 +49,9 @@ type BatchResult struct {
 // goroutines in every mode, so batch throughput reflects the host, while
 // per-event timings remain simulated.
 func RunBatch(ctx context.Context, dirs []string, variant Variant, opts Options) ([]BatchResult, error) {
+	if err := opts.Validate(variant); err != nil {
+		return nil, err
+	}
 	if len(dirs) == 0 {
 		return nil, fmt.Errorf("pipeline: empty batch")
 	}

@@ -115,7 +115,7 @@ func (s *state) runPipelined() error {
 // fleet scheduler can run it as an event's admission-time Build phase on a
 // shared pool worker.
 func (s *state) preparePipelined() (*dfBuild, error) {
-	if err := s.runStep(planStep{stage: StageI, strat: StratTask, procs: Stages[StageI-1].Processes}); err != nil {
+	if _, err := s.runSteps([]planStep{stageIStep}, nil, s.now()); err != nil {
 		return nil, err
 	}
 	stations, err := s.stations()
@@ -124,9 +124,8 @@ func (s *state) preparePipelined() (*dfBuild, error) {
 	}
 	exe := ""
 	if !s.opts.NoTempFolders {
-		// Installed once, up front: the staged schedule creates the image
-		// lazily inside the first temp-folder stage, but concurrent dataflow
-		// nodes must not race to create it.
+		// Installed once, up front, as the step compiler does for a staged
+		// plan: concurrent dataflow nodes must not race to create it.
 		if exe, err = s.ensureExeImage(); err != nil {
 			return nil, err
 		}
@@ -254,7 +253,7 @@ func (b *dfBuild) addProcess(pid ProcessID, in []ArtifactEdge) {
 		for _, e := range in {
 			deps = append(deps, b.producersOf(e)...)
 		}
-		b.global[pid] = b.add(pid, "", func() error { return b.s.procBody(nil, pid, StratSequential) }, deps, nil)
+		b.global[pid] = b.add(pid, "", b.s.globalBody(pid), deps, nil)
 		return
 	}
 	var recEdges, readEdges, writeEdges []ArtifactEdge
@@ -331,7 +330,7 @@ func writesGlobal(pid ProcessID) bool {
 
 // add registers one node: the body is wrapped with the quarantine skip, the
 // cancellation check, a task span under the run span, cost measurement, and
-// the fail-fast cancellation that parFor bodies get on the staged path.
+// the fail-fast cancellation that staged nodes get too (steps.go).
 // sdeps names stream-edge producers (streaming runs only): the node is added
 // with AddStream so it is released at their dispatch instead of completion.
 func (b *dfBuild) add(pid ProcessID, station string, inner func() error, deps, sdeps []dataflow.NodeID) dataflow.NodeID {
@@ -472,30 +471,18 @@ func dedupNodes(deps []dataflow.NodeID) []dataflow.NodeID {
 	return out
 }
 
-// recordBody returns the body of one process's node for station index i.
+// recordBody returns the body of one process's node for station index i:
+// the station's staged per-unit bodies (steps.go) one after another, except
+// where the node keeps a side channel for its join, streams, or runs the
+// record's temp-folder job.
 func (b *dfBuild) recordBody(pid ProcessID, i int, st string) func() error {
 	s := b.s
-	switch pid {
-	case PSeparateComponents:
-		if b.streaming() {
-			return func() error { return b.streamSeparateStation(i, st) }
-		}
-		return func() error { return s.separateStation(st) }
-	case PDefaultFilter:
+	switch {
+	case pid == PDefaultFilter:
 		return b.filterRecordBody(PDefaultFilter, b.fragsDef, i, st)
-	case PFourier:
-		return func() error {
-			switch {
-			case b.streaming():
-				return b.streamFourierRecord(i, st)
-			case s.opts.NoTempFolders:
-				return s.fourierRecord(s.dir, st)
-			}
-			return s.runTempJob(s.newTempJob(PFourier, i, st, b.exe))
-		}
-	case PPlotFourier:
-		return func() error { return s.plotFourierStation(st) }
-	case PPickCorners:
+	case pid == PCorrectedFilter:
+		return b.filterRecordBody(PCorrectedFilter, b.fragsCor, i, st)
+	case pid == PPickCorners:
 		return func() error {
 			var specs [3]dsp.BandPassSpec
 			for ci, comp := range seismic.Components {
@@ -509,39 +496,26 @@ func (b *dfBuild) recordBody(pid ProcessID, i int, st string) func() error {
 			b.picked[i] = true
 			return nil
 		}
-	case PCorrectedFilter:
-		return b.filterRecordBody(PCorrectedFilter, b.fragsCor, i, st)
-	case PPlotAccel:
-		return func() error { return s.plotAccelStation(st) }
-	case PResponseSpectrum:
-		return func() error {
-			if b.streaming() {
-				return b.streamResponseRecord(i, st)
-			}
-			for _, comp := range seismic.Components {
-				if err := s.responseSignal(smformat.V2FileName(st, comp)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	case PPlotResponse:
-		return func() error { return s.plotResponseStation(st) }
-	case PGenerateGEM:
-		return func() error {
-			for _, comp := range seismic.Components {
-				key := smformat.SignalKey{Station: st, Component: comp}
-				if err := s.gemJob(key, false); err != nil {
-					return err
-				}
-				if err := s.gemJob(key, true); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+	case b.streaming() && pid == PSeparateComponents:
+		return func() error { return b.streamSeparateStation(i, st) }
+	case b.streaming() && pid == PFourier:
+		return func() error { return b.streamFourierRecord(i, st) }
+	case b.streaming() && pid == PResponseSpectrum:
+		return func() error { return b.streamResponseRecord(i, st) }
+	case pid == PFourier && !s.opts.NoTempFolders:
+		return func() error { return s.runTempJob(s.newTempJob(PFourier, i, st, b.exe)) }
 	}
-	panic(fmt.Sprintf("pipeline: no dataflow body for per-record process #%d", pid))
+	phases := (&stepGraph{s: s, stations: []string{st}}).phases(pid, StratSequential)
+	return func() error {
+		for _, ph := range phases {
+			for _, u := range ph.units {
+				if err := u.run(); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 }
 
 // filterRecordBody builds the per-record body of processes #4 and #13,

@@ -99,6 +99,34 @@ func (e *StageError) Is(target error) bool {
 		(t.Kind == 0 || t.Kind == e.Kind)
 }
 
+// ErrUnsupported is matched (errors.Is) by every option combination
+// Options.Validate rejects; the error's message names the conflicting pair.
+var ErrUnsupported = errors.New("pipeline: unsupported option combination")
+
+// Validate rejects, before any work starts, a combination of options a run
+// of the given variant could not honour.  Run, RunBatch and RunFleet all
+// call it first.
+func (o Options) Validate(variant Variant) error {
+	var pair, why string
+	switch {
+	case !o.Streaming:
+		return nil
+	case variant != Pipelined:
+		pair, why = "Streaming with variant "+variant.String(), "streaming requires the pipelined variant"
+	case o.Chaos != nil:
+		// Chaos interposes on the temp-folder protocol, which the streaming
+		// plane bypasses entirely: combined, chaos would test nothing.
+		pair, why = "Streaming with Chaos", "streaming mode cannot be combined with chaos fault injection"
+	case o.Cache.Mode == CachePersistent:
+		// Streamed outputs are written incrementally, never read back whole
+		// for a Put, and restores would race the stream consumers.
+		pair, why = "Streaming with CachePersistent", "streaming mode cannot be combined with the persistent action cache"
+	default:
+		return nil
+	}
+	return fmt.Errorf("%w: %s: %s", ErrUnsupported, pair, why)
+}
+
 // classify maps an operation error to its retry-engine kind.  Unknown
 // errors default to transient — the optimistic posture (retry, then
 // quarantine at attempt exhaustion) degrades one record instead of an

@@ -69,6 +69,9 @@ func MeasureFleet(ctx context.Context, dirs []string, opts FleetOptions) ([]flee
 }
 
 func runFleetDispatch(ctx context.Context, dirs []string, opts FleetOptions) ([]fleet.SimEvent, []BatchResult, error) {
+	if err := opts.Validate(Pipelined); err != nil {
+		return nil, nil, err
+	}
 	if len(dirs) == 0 {
 		return nil, nil, fmt.Errorf("pipeline: empty batch")
 	}

@@ -237,3 +237,29 @@ func TestParseVariant(t *testing.T) {
 		}
 	}
 }
+
+// TestStagedPoolReportsSlotWaitsAsIdle runs a staged graph whose loop
+// layers are narrower than its pool (Workers 1 under a task width of 2):
+// the goroutine held at a loop layer's bound does no work, so the worker
+// busy time must stay near the run's wall time instead of doubling.
+func TestStagedPoolReportsSlotWaitsAsIdle(t *testing.T) {
+	opts := testOptions()
+	opts.Workers, opts.MetaWorkers = 1, 2
+	col := &obs.Collector{}
+	opts.Observer = obs.New(col)
+	dir := filepath.Join(t.TempDir(), "w")
+	if err := PrepareWorkDir(dir, testEvent(t)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), dir, FullParallel, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := opts.Observer.Counter("pipeline_worker_busy_seconds_total").Value()
+	if total := res.Timings.Total.Seconds(); busy > 1.5*total {
+		t.Errorf("worker busy %.3fs over a %.3fs run: slot waits counted as work", busy, total)
+	}
+	if occ := opts.Observer.Gauge("pipeline_worker_occupancy").Value(); occ <= 0 || occ > 1 {
+		t.Errorf("pipeline_worker_occupancy = %g", occ)
+	}
+}

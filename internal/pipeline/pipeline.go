@@ -356,9 +356,9 @@ type Options struct {
 	// materialized execution on both storage backends.  Implies
 	// NoTempFolders (streamed stages run direct bodies), requires the
 	// Pipelined variant, and is rejected under Chaos (fault injection must
-	// exercise the staged protocol).  The persistent action cache is
-	// bypassed while streaming: node outputs are produced incrementally,
-	// not read back as whole files for a Put.
+	// exercise the staged protocol) and with the persistent action cache
+	// (node outputs are produced incrementally, not read back as whole
+	// files for a Put); see Validate.
 	Streaming bool
 
 	// Storage selects the workspace backend the inter-stage file protocol

@@ -619,7 +619,7 @@ func TestOptionsWithDefaults(t *testing.T) {
 	}
 }
 
-func TestSimulatedParForSurfacesDecodeFailures(t *testing.T) {
+func TestSimulatedStagedLoopSurfacesDecodeFailures(t *testing.T) {
 	ev := testEvent(t)
 	dir := filepath.Join(t.TempDir(), "w")
 	if err := PrepareWorkDir(dir, ev); err != nil {
@@ -633,8 +633,8 @@ func TestSimulatedParForSurfacesDecodeFailures(t *testing.T) {
 	}
 	_ = res
 	// Truncate one input and rerun: the decode failure must surface through
-	// the simulated parallel loop as a quarantine verdict, not be swallowed
-	// by the scheduler.
+	// the simulated staged graph's station loop as a quarantine verdict, not
+	// be swallowed by the scheduler.
 	name := filepath.Join(dir, ev.Records[0].Station+".v1")
 	data, err := os.ReadFile(name)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"accelproc/internal/dsp"
 	"accelproc/internal/fourier"
@@ -22,11 +21,12 @@ import (
 	"accelproc/internal/storage"
 )
 
-// This file implements the 20 processes of the chain.  Each process is a
-// method on *state that reads its inputs from and writes its outputs to the
-// work directory, exactly as the legacy programs do.  Processes that the
-// parallel variants accelerate take a workers parameter: 1 reproduces the
-// sequential behaviour, >1 (or 0 = all processors) the parallel one.
+// This file implements the 20 processes of the chain.  An event-global
+// process is one method on *state; a process that iterates over records is
+// its per-unit body (a station, signal or file), which the step compiler
+// (steps.go) and the Pipelined graph schedule as dataflow nodes.  Every
+// body reads its inputs from and writes its outputs to the work directory,
+// exactly as the legacy programs do.
 
 // procInitFlags is process #0 (and, via procInitFlags2, #11): write the ten
 // runtime flags of the legacy driver.
@@ -91,19 +91,6 @@ func (s *state) procInitFilterParams() error {
 		PerSignal: map[smformat.SignalKey]dsp.BandPassSpec{},
 	}
 	return s.writeFilterParams(s.path(smformat.FilterParamsFile), params)
-}
-
-// procSeparateComponents is process #3 (and #12): split every multiplexed
-// <s>.v1 into three per-component <s><c>.v1 files.  The full-parallel
-// variant runs the station loop with a Fortran-style "omp do" (workers > 1).
-func (s *state) procSeparateComponents(workers int) error {
-	stations, err := s.stations()
-	if err != nil {
-		return err
-	}
-	return s.parFor(len(stations), workers, CostHeavyIO, func(i int) error {
-		return s.separateStation(stations[i])
-	})
 }
 
 // separateStation decodes one station's input record through the ingest
@@ -217,42 +204,11 @@ func (s *state) filterRecord(dir, st string) (smformat.MaxValues, error) {
 	return frag, nil
 }
 
-// applyFilters is the direct driver of processes #4 (default corners) and
-// #13 (per-signal corners from the Fourier analysis): filter all 3N
-// component signals, write <s><c>.v2 files, and write the max-values
-// metadata.  Parallelization across signals is controlled by workers; the
-// temp-folder protocol lives in tempfolder.go.
-func (s *state) applyFilters(workers int) error {
-	stations, err := s.stations()
-	if err != nil {
-		return err
-	}
-	params, err := s.readFilterParams(s.path(smformat.FilterParamsFile))
-	if err != nil {
-		return err
-	}
-	keys := signals(stations)
-	peaks := make([]seismic.PeakValues, len(keys))
-	err = s.parFor(len(keys), workers, CostHeavyIO, func(i int) error {
-		var err error
-		peaks[i], err = s.filterSignal(s.dir, keys[i], params.Spec(keys[i]))
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	max := smformat.MaxValues{Peaks: make(map[smformat.SignalKey]seismic.PeakValues, len(keys))}
-	for i, key := range keys {
-		max.Peaks[key] = peaks[i]
-	}
-	return smformat.WriteMaxValuesFileFS(s.ws, s.path(smformat.MaxValuesFile), max)
-}
-
 // procInitMetadata is process #5 (and #14): derive the acc-graph, fourier,
 // and response file lists from the v1list.  The metadata processes list
 // every gathered record, quarantined or not, so their lists do not depend
-// on how far the schedule got before a verdict; the list consumers drop
-// quarantined records themselves (liveFiles).
+// on how far the schedule got before a verdict; the per-record bodies skip
+// quarantined records themselves.
 func (s *state) procInitMetadata() error {
 	stations, err := s.recordStations()
 	if err != nil {
@@ -275,51 +231,30 @@ func (s *state) procInitMetadata() error {
 		smformat.FileList{Name: "response", Files: rnames})
 }
 
-// procPlotUncorrected is the redundant process #6: plot the raw signals to
-// <s>.ps.  The plots are overwritten later by process #15, which is why the
-// optimization drops this process entirely.
-func (s *state) procPlotUncorrected() error {
-	stations, err := s.stations()
-	if err != nil {
-		return err
-	}
-	for _, st := range stations {
-		var panels []plotps.Plot
-		for _, comp := range seismic.Components {
-			v1, err := s.readV1Comp(s.path(smformat.V1ComponentFileName(st, comp)))
-			if err != nil {
-				return err
-			}
-			t := make([]float64, len(v1.Accel))
-			for i := range t {
-				t[i] = float64(i) * v1.DT
-			}
-			panels = append(panels, plotps.Plot{
-				Axes: plotps.Axes{
-					Title:  st + comp.Suffix() + " uncorrected acceleration",
-					XLabel: "Time (s)", YLabel: "cm/s^2",
-				},
-				Series: []plotps.Series{{Label: "acc", X: t, Y: v1.Accel}},
-			})
-		}
-		if err := s.writePlotFile(s.path(smformat.AccelPlotFileName(st)), "Uncorrected "+st, panels); err != nil {
+// plotUncorrectedStation plots one station's raw signals to <s>.ps: the
+// per-record unit of the redundant process #6.  The page is overwritten
+// later by process #15, which is why the optimization drops this process
+// entirely.
+func (s *state) plotUncorrectedStation(st string) error {
+	var panels []plotps.Plot
+	for _, comp := range seismic.Components {
+		v1, err := s.readV1Comp(s.path(smformat.V1ComponentFileName(st, comp)))
+		if err != nil {
 			return err
 		}
+		t := make([]float64, len(v1.Accel))
+		for i := range t {
+			t[i] = float64(i) * v1.DT
+		}
+		panels = append(panels, plotps.Plot{
+			Axes: plotps.Axes{
+				Title:  st + comp.Suffix() + " uncorrected acceleration",
+				XLabel: "Time (s)", YLabel: "cm/s^2",
+			},
+			Series: []plotps.Series{{Label: "acc", X: t, Y: v1.Accel}},
+		})
 	}
-	return nil
-}
-
-// procFourier is process #7: Fourier spectra of every corrected component.
-func (s *state) procFourier(workers int) error {
-	list, err := smformat.ReadFileListFileFS(s.ws, s.path(smformat.FourierMetaFile))
-	if err != nil {
-		return err
-	}
-	// The list was written before stage IV ran; drop quarantined records.
-	files := s.liveFiles(list.Files)
-	return s.parFor(len(files), workers, CostHeavyIO, func(i int) error {
-		return s.fourierSignal(s.dir, files[i])
-	})
+	return s.writePlotFile(s.path(smformat.AccelPlotFileName(st)), "Uncorrected "+st, panels)
 }
 
 // fourierSignal computes the Fourier spectra of one corrected component
@@ -361,28 +296,14 @@ func (s *state) procInitFourierGraph() error {
 		smformat.FileList{Name: "fourier-graph", Files: names})
 }
 
-// procPlotFourier is process #9: one <s>f.ps page per station with the
-// velocity Fourier spectrum of each of the three components, marked with
-// the FPL/FSL inflection corners as in the paper's Figure 3.  The corners
-// are derived from the spectrum itself (the same deterministic pick that
-// process #10 stores), because in the original chain this plot is drawn
-// before process #10 runs, while the reordered schedule draws it at the
-// end — deriving them locally keeps every variant's plot byte-identical.
-func (s *state) procPlotFourier() error {
-	stations, err := s.stations()
-	if err != nil {
-		return err
-	}
-	for _, st := range stations {
-		if err := s.plotFourierStation(st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// plotFourierStation draws one station's <s>f.ps page: the per-record unit
-// of process #9.
+// plotFourierStation draws one station's <s>f.ps page, the per-record unit
+// of process #9: the velocity Fourier spectrum of each of the three
+// components, marked with the FPL/FSL inflection corners as in the paper's
+// Figure 3.  The corners are derived from the spectrum itself (the same
+// deterministic pick that process #10 stores), because in the original
+// chain this plot is drawn before process #10 runs, while the reordered
+// schedule draws it at the end — deriving them locally keeps every
+// variant's plot byte-identical.
 func (s *state) plotFourierStation(st string) error {
 	var panels []plotps.Plot
 	for _, comp := range seismic.Components {
@@ -419,43 +340,6 @@ func (s *state) plotFourierStation(st string) error {
 	return s.writePlotFile(s.path(smformat.FourierPlotFileName(st)), "Fourier spectra "+st, panels)
 }
 
-// procPickCorners is process #10: pick FPL/FSL per signal from the velocity
-// Fourier spectra.  The component loop (3 per station) is the parallel-for
-// of the paper's section V-B; compWorkers = 1 reproduces the sequential
-// scan, 3 the parallel one.
-func (s *state) procPickCorners(compWorkers int) error {
-	stations, err := s.stations()
-	if err != nil {
-		return err
-	}
-	params, err := s.readFilterParams(s.path(smformat.FilterParamsFile))
-	if err != nil {
-		return err
-	}
-	var mu sync.Mutex
-	for _, st := range stations {
-		st := st
-		// The paper's AnalyzeFourier reads and analyzes the three component
-		// plots inside the parallel loop ("#pragma omp parallel for" over
-		// j = 0..2), so the file reads parallelize along with the scan.
-		err := s.parFor(3, compWorkers, CostHeavyFLOPS, func(j int) error {
-			comp := seismic.Components[j]
-			spec, err := s.pickSignalSpec(st, comp)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			params.PerSignal[smformat.SignalKey{Station: st, Component: comp}] = spec
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return s.writeFilterParams(s.path(smformat.FilterParamsFile), params)
-}
-
 // pickSignalSpec picks the FPL/FSL corners of one component spectrum: the
 // per-signal unit of process #10.
 func (s *state) pickSignalSpec(st string, comp seismic.Component) (dsp.BandPassSpec, error) {
@@ -464,21 +348,6 @@ func (s *state) pickSignalSpec(st string, comp seismic.Component) (dsp.BandPassS
 		return dsp.BandPassSpec{}, err
 	}
 	return fourier.CalculateInflectionPoint(f, s.opts.Pick)
-}
-
-// procResponseSpectrum is process #16, the dominant stage IX workload:
-// compute the elastic response spectra of all 3N corrected components.
-func (s *state) procResponseSpectrum(workers int) error {
-	list, err := smformat.ReadFileListFileFS(s.ws, s.path(smformat.FourierMetaFile))
-	if err != nil {
-		return err
-	}
-	// The list was written before the temp-folder stages ran; drop
-	// quarantined records so stage IX only touches surviving V2 files.
-	files := s.liveFiles(list.Files)
-	return s.parFor(len(files), workers, CostHeavyFLOPS, func(i int) error {
-		return s.responseSignal(files[i])
-	})
 }
 
 // responseSignal computes and writes the response spectrum of one corrected
@@ -509,21 +378,6 @@ func (s *state) procInitResponseGraph() error {
 		smformat.FileList{Name: "response-graph", Files: names})
 }
 
-// procPlotAccel is process #15: the corrected accelerogram page <s>.ps,
-// one panel per component.
-func (s *state) procPlotAccel() error {
-	stations, err := s.stations()
-	if err != nil {
-		return err
-	}
-	for _, st := range stations {
-		if err := s.plotAccelStation(st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // plotAccelStation draws one station's corrected accelerogram page <s>.ps:
 // the per-record unit of process #15.
 func (s *state) plotAccelStation(st string) error {
@@ -548,21 +402,6 @@ func (s *state) plotAccelStation(st string) error {
 	return s.writePlotFile(s.path(smformat.AccelPlotFileName(st)), "Accelerogram "+st, panels)
 }
 
-// procPlotResponse is process #18: the response-spectra page <s>r.ps, one
-// panel per component with its SA/SV/SD series.
-func (s *state) procPlotResponse() error {
-	stations, err := s.stations()
-	if err != nil {
-		return err
-	}
-	for _, st := range stations {
-		if err := s.plotResponseStation(st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // plotResponseStation draws one station's response-spectra page <s>r.ps: the
 // per-record unit of process #18.
 func (s *state) plotResponseStation(st string) error {
@@ -585,30 +424,6 @@ func (s *state) plotResponseStation(st string) error {
 		})
 	}
 	return s.writePlotFile(s.path(smformat.ResponsePlotFileName(st)), "Response spectra "+st, panels)
-}
-
-// procGenerateGEM is process #19: split every V2 and R file into three GEM
-// exports each ("SetDataApart"), 18 files per station.  The loop over the
-// interleaved 2x(3N) file list is the parallel-for of the paper's section
-// V-C, using all available processors.
-func (s *state) procGenerateGEM(workers int) error {
-	stations, err := s.stations()
-	if err != nil {
-		return err
-	}
-	keys := signals(stations)
-	// Interleave V2 and R entries like the files[N*2] array in the paper.
-	type job struct {
-		key smformat.SignalKey
-		isR bool
-	}
-	jobs := make([]job, 0, 2*len(keys))
-	for _, key := range keys {
-		jobs = append(jobs, job{key, false}, job{key, true})
-	}
-	return s.parFor(len(jobs), workers, CostHeavyIO, func(i int) error {
-		return s.gemJob(jobs[i].key, jobs[i].isR)
-	})
 }
 
 // gemJob splits one V2 or R file into its three GEM exports: the per-file

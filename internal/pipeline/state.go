@@ -14,9 +14,7 @@ import (
 	"accelproc/internal/faults"
 	"accelproc/internal/ingest"
 	"accelproc/internal/obs"
-	"accelproc/internal/parallel"
 	"accelproc/internal/seismic"
-	"accelproc/internal/simsched"
 	"accelproc/internal/smformat"
 	"accelproc/internal/storage"
 )
@@ -78,17 +76,16 @@ type state struct {
 	outcomes       []RecordOutcome
 	nRetries       atomic.Int64
 	// virt accumulates virtual-time corrections from the simulated
-	// platform: each simulated parallel construct adds
-	// (simulated makespan - serial execution time), a negative quantity,
-	// so that wall + virt is the run's time on the simulated machine.
+	// platform: each simulated layer of a staged graph, and each Pipelined
+	// graph, adds (simulated makespan - serial execution time), a negative
+	// quantity, so that wall + virt is the run's time on the simulated
+	// machine.
 	virt time.Duration
 
-	// Observability.  runSpan and stageSpan are written only at the
-	// sequential points between stages; process spans are threaded
-	// explicitly (timedProc) because task-parallel stages time processes
-	// concurrently.  All handles are nil-safe when no Observer is set.
+	// Observability.  The stage, process and task spans below runSpan are
+	// opened and ended by the step compiler's barriers (steps.go).  All
+	// handles are nil-safe when no Observer is set.
 	runSpan    *obs.Span
-	stageSpan  *obs.Span
 	wmon       *obs.WorkerMonitor
 	records    *obs.Counter
 	bytesIn    *obs.Counter
@@ -125,78 +122,9 @@ func (s *state) now() time.Duration {
 	return time.Duration(time.Now().UnixNano())
 }
 
-// monitor returns the worker monitor as a parallel.Monitor interface,
-// carefully keeping the interface itself nil when no observer is attached
-// (a typed-nil *obs.WorkerMonitor would defeat the mon == nil fast paths in
-// the parallel package).
-func (s *state) monitor() parallel.Monitor {
-	if s.wmon == nil {
-		return nil
-	}
-	return s.wmon
-}
-
 // cancelled reports the context's error, making every parallel chunk and
 // inter-process boundary a cancellation point.
 func (s *state) cancelled() error { return context.Cause(s.ctx) }
-
-// parFor executes body over [0, n) with the requested worker budget.  On
-// the real platform it is a goroutine parallel loop; on the simulated
-// platform the bodies run serially with per-item cost measurement, and the
-// virtual clock is charged the list-scheduling makespan for the budgeted
-// workers under the contention model of the given cost class.  In both
-// modes every iteration first checks the run context, so cancellation
-// aborts inside a chunk rather than only at the next stage boundary.
-func (s *state) parFor(n, workers int, class Cost, body func(int) error) error {
-	checked := func(i int) error {
-		if err := s.cancelled(); err != nil {
-			return err
-		}
-		err := body(i)
-		if err != nil && classify(err) != ErrKindCanceled {
-			// Fail fast: a body error that graceful degradation could not
-			// absorb dooms the run, so cancel the run context with the real
-			// cause and let sibling workers stop at their next check.
-			s.fail(err)
-		}
-		return err
-	}
-	if !s.simulated() || workers == 1 {
-		// Guided scheduling instead of static: record sizes span 56K-384K
-		// data points, so equal-count static blocks leave workers idling
-		// behind whichever block drew the big records (the stage-IX straggler
-		// problem).  Guided claims shrink toward the tail, keeping occupancy
-		// high without per-iteration dispatch overhead.
-		return parallel.ParallelForMonitored(n, workers, parallel.ScheduleGuided, 1, s.monitor(), checked)
-	}
-	w := workers
-	if w <= 0 {
-		w = s.opts.SimProcessors
-	}
-	durs := make([]time.Duration, n)
-	var firstErr error
-	for i := 0; i < n; i++ {
-		start := s.now()
-		if err := checked(i); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		durs[i] = s.now() - start
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	s.virt += simsched.Makespan(durs, w, s.contention(class)) - simsched.Sum(durs)
-	return nil
-}
-
-// contention maps a process cost class to the simulated platform's
-// contention coefficient.
-func (s *state) contention(class Cost) float64 {
-	if class == CostHeavyFLOPS {
-		return s.opts.ContentionCPU
-	}
-	return s.opts.ContentionIO
-}
 
 func newState(ctx context.Context, dir string, opts Options) (*state, error) {
 	info, err := os.Stat(dir)
@@ -208,12 +136,6 @@ func newState(ctx context.Context, dir string, opts Options) (*state, error) {
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opts.Streaming && opts.Chaos != nil {
-		// Chaos interposes on the staged temp-folder protocol; the streaming
-		// plane bypasses that protocol entirely, so combining them would
-		// silently test nothing.
-		return nil, fmt.Errorf("pipeline: streaming mode cannot be combined with chaos fault injection")
 	}
 	ctx, fail := context.WithCancelCause(ctx)
 	s := &state{ctx: ctx, fail: fail, dir: dir, opts: opts.withDefaults()}
@@ -238,11 +160,9 @@ func newState(ctx context.Context, dir string, opts Options) (*state, error) {
 	}
 	if cc := s.opts.Cache; cc.Mode != CacheOff {
 		s.arts = artifact.NewMemo(ws.Generation)
-		// The action cache is bypassed under chaos (fault injection must
-		// exercise the real staging protocol) and under streaming (node
-		// outputs are produced incrementally through Create, never read back
-		// whole for a Put, and restores would race the stream consumers).
-		if cc.Mode == CachePersistent && s.chaos == nil && !s.opts.Streaming {
+		// The action cache is bypassed under chaos: fault injection must
+		// exercise the real staging protocol.
+		if cc.Mode == CachePersistent && s.chaos == nil {
 			root := cc.Dir
 			if root == "" {
 				root = filepath.Join(dir, CacheDirName)
@@ -291,61 +211,9 @@ func (s *state) fsAt(tag, station string) faults.FS {
 // path resolves a file name inside the work directory.
 func (s *state) path(name string) string { return filepath.Join(s.dir, name) }
 
-// timedProc runs one process body and records its (virtual) time: the wall
-// time plus any corrections the simulated platform charged during the body.
-// A process span is opened under the current stage span (or the run span
-// when the process runs outside any stage) and ended with the charged
-// duration, so trace trees agree with Result.Timings.  The span is passed to
-// the body for its child task spans (the temp-folder steps) rather than kept
-// on state, because task-parallel stages time several processes at once.
-// Each process boundary is a cancellation point.
-func (s *state) timedProc(id ProcessID, body func(sp *obs.Span) error) error {
-	if err := s.cancelled(); err != nil {
-		return err
-	}
-	parent := s.stageSpan
-	if parent == nil {
-		parent = s.runSpan
-	}
-	sp := parent.Child("process:"+Processes[id].Name, obs.KindProcess,
-		obs.Int("process", int64(id)), obs.String("process_name", Processes[id].Name))
-	v0 := s.virt
-	start := s.now()
-	err := body(sp)
-	d := (s.now() - start) + (s.virt - v0)
-	s.tim.Process[id] += d
-	if err != nil {
-		sp.EndCharged(d, obs.String("error", err.Error()))
-		return fmt.Errorf("pipeline: process #%d (%s): %w", id, Processes[id].Name, err)
-	}
-	sp.EndCharged(d)
-	return nil
-}
-
-// timedStage measures the (virtual) time of a whole stage and wraps it in a
-// stage span nested under the run span.
-func (s *state) timedStage(id StageID, body func() error) error {
-	if err := s.cancelled(); err != nil {
-		return err
-	}
-	sp := s.runSpan.Child("stage:"+id.String(), obs.KindStage, obs.Int("stage", int64(id)))
-	s.stageSpan = sp
-	v0 := s.virt
-	start := s.now()
-	err := body()
-	d := (s.now() - start) + (s.virt - v0)
-	s.tim.Stage[id] += d
-	s.stageSpan = nil
-	if err != nil {
-		sp.EndCharged(d, obs.String("error", err.Error()))
-		return err
-	}
-	sp.EndCharged(d)
-	return nil
-}
-
-// timedTask wraps one sub-process unit of work (a temp-folder staging step)
-// in a task span under parent, charged with virtual-corrected time.
+// timedTask wraps one unit of work outside every stage (the run's finalize
+// epilogue) in a task span under parent, charged with virtual-corrected
+// time.
 func (s *state) timedTask(parent *obs.Span, name string, body func() error) error {
 	sp := parent.Child(name, obs.KindTask)
 	v0 := s.virt
@@ -423,38 +291,6 @@ func (s *state) stations() ([]string, error) {
 		}
 	}
 	return live, nil
-}
-
-// liveFiles filters a metadata file list down to the entries of surviving
-// records.  The lists name every gathered record, so the list-driven
-// processes (#7, #16) must drop the per-component files of condemned
-// stations.
-func (s *state) liveFiles(names []string) []string {
-	s.quarMu.Lock()
-	qs := make([]string, 0, len(s.quarantinedSet))
-	for st := range s.quarantinedSet {
-		qs = append(qs, st)
-	}
-	s.quarMu.Unlock()
-	if len(qs) == 0 {
-		return names
-	}
-	dead := make(map[string]bool, 12*len(qs))
-	for _, st := range qs {
-		for _, c := range seismic.Components {
-			dead[smformat.V1ComponentFileName(st, c)] = true
-			dead[smformat.V2FileName(st, c)] = true
-			dead[smformat.FourierFileName(st, c)] = true
-			dead[smformat.ResponseFileName(st, c)] = true
-		}
-	}
-	live := make([]string, 0, len(names))
-	for _, n := range names {
-		if !dead[n] {
-			live = append(live, n)
-		}
-	}
-	return live
 }
 
 // signals expands stations into the 3N (station, component) pairs in

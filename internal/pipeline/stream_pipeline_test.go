@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -118,6 +119,12 @@ func TestStreamingRequiresPipelined(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "streaming requires the pipelined variant") {
 		t.Errorf("Run(FullParallel, Streaming) = %v, want variant rejection", err)
 	}
+	if !errors.Is(err, ErrUnsupported) {
+		t.Errorf("Run(FullParallel, Streaming) = %v, want ErrUnsupported", err)
+	}
+	if _, err := RunBatch(context.Background(), []string{dir}, SeqOriginal, opts); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("RunBatch(SeqOriginal, Streaming) = %v, want ErrUnsupported", err)
+	}
 }
 
 func TestStreamingRejectsChaos(t *testing.T) {
@@ -132,6 +139,24 @@ func TestStreamingRejectsChaos(t *testing.T) {
 	_, err := Run(context.Background(), dir, Pipelined, opts)
 	if err == nil || !strings.Contains(err.Error(), "streaming mode cannot be combined with chaos") {
 		t.Errorf("Run(Streaming+Chaos) = %v, want rejection", err)
+	}
+	if !errors.Is(err, ErrUnsupported) {
+		t.Errorf("Run(Streaming+Chaos) = %v, want ErrUnsupported", err)
+	}
+	if _, err := RunFleet(context.Background(), []string{dir}, FleetOptions{Options: opts}); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("RunFleet(Streaming+Chaos) = %v, want ErrUnsupported", err)
+	}
+
+	// Streaming with the persistent action cache is rejected up front like
+	// the other conflicts, before the run touches the work directory.
+	opts.Chaos = nil
+	opts.Cache = CacheConfig{Mode: CachePersistent}
+	_, err = Run(context.Background(), dir, Pipelined, opts)
+	if !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), "persistent action cache") {
+		t.Errorf("Run(Streaming+CachePersistent) = %v, want ErrUnsupported naming the action cache", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, CacheDirName)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("rejected run touched the work directory: %v", err)
 	}
 }
 

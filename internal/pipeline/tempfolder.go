@@ -29,11 +29,12 @@ import (
 //  4. cleanup: delete the scratch folder.
 //
 // Processes #4, #7 and #13 all run it.  FullParallel runs each step over
-// every record with a barrier after it (tempFolderStage) — the install step
-// as a *sequential* loop, as the paper does "to avoid races" on the single
-// executable image — and reports one task span per step.  Pipelined runs
-// one record's four steps back to back as a dataflow node (runTempJob), so
-// no record waits at a step barrier for its siblings.
+// every record as one barrier-closed layer of its graph (steps.go's
+// tempPhases) — the install step as a *chained* layer, as the paper runs it
+// sequentially "to avoid races" on the single executable image — and
+// reports one task span per step.  Pipelined runs one record's four steps
+// back to back as a dataflow node (runTempJob), so no record waits at a
+// step barrier for its siblings.
 //
 // The "executable" is a simulated binary image: the Go implementations
 // stand in for the Fortran programs, but the staging I/O — the real cost
@@ -217,7 +218,7 @@ func (s *state) newTempJob(pid ProcessID, idx int, st, exe string) *tempJob {
 // tempStep is one step of the protocol, named by its task span.  A record
 // failure inside a step quarantines the record (the step returns nil);
 // only run-level failures are returned.  A sequential step runs as a
-// sequential loop over the records under FullParallel.
+// chain over the records under FullParallel.
 type tempStep struct {
 	name       string
 	sequential bool
@@ -295,72 +296,6 @@ func (s *state) transfer(j *tempJob, op string, names []string, from, to string,
 		}
 	}
 	return nil
-}
-
-// tempFolderStage is FullParallel's process #4, #7 or #13 (the paper's
-// ParallelizeCorrection and ParallelizeFourier): one job per surviving
-// station, each protocol step a barrier-separated loop over the jobs
-// reported as a task span under proc.  The filter processes then merge the
-// records' fragments into the max-values metadata.
-func (s *state) tempFolderStage(proc *obs.Span, pid ProcessID, workers int) (err error) {
-	stations, err := s.stations()
-	if err != nil {
-		return err
-	}
-	exe, err := s.ensureExeImage()
-	if err != nil {
-		return err
-	}
-	jobs := make([]*tempJob, len(stations))
-	dirs := make([]string, len(stations))
-	for i, st := range stations {
-		jobs[i] = s.newTempJob(pid, i, st, exe)
-		dirs[i] = jobs[i].rc.scratch
-	}
-	defer func() {
-		if err != nil {
-			s.removeScratchDirs(dirs)
-		}
-	}()
-	for _, step := range s.tempSteps() {
-		run := func(i int) error {
-			if s.isQuarantined(jobs[i].rc.station) {
-				return nil
-			}
-			return step.run(s, jobs[i])
-		}
-		err = s.timedTask(proc, step.name, func() error {
-			if !step.sequential {
-				// The per-instance work is dominated by reading and writing
-				// the large V1/V2 text payloads, not by the arithmetic, so it
-				// contends like I/O (the paper observes 1.9x-2.0x for these
-				// stages on 8 cores).
-				return s.parFor(len(jobs), workers, CostHeavyIO, run)
-			}
-			for i := range jobs {
-				if err := s.cancelled(); err != nil {
-					return err
-				}
-				if err := run(i); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if pid == PFourier {
-		return nil
-	}
-	frags := make([]smformat.MaxValues, len(jobs))
-	for i, j := range jobs {
-		if !s.isQuarantined(j.rc.station) {
-			frags[i] = j.peaks
-		}
-	}
-	return s.writeMergedMaxValues(frags)
 }
 
 // runTempJob is Pipelined's body of one record of process #4, #7 or #13:

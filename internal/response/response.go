@@ -222,11 +222,14 @@ func duhamel(a []float64, dt, period, xi float64) (sd, sv, sa float64) {
 // own accumulator, so one pass over the shared history j = 0..i feeds four
 // independent add chains; outputs i+1..i+3 then add their private tails
 // j = i+1..i+q.  Every sum keeps the ascending-j order of a one-output-at-
-// a-time loop, so the spectra are bit-identical to it.
+// a-time loop, so the spectra are bit-identical to it.  Products that meet
+// an addition here and in conv4 and dotFrom are explicit float64
+// conversions, which the Go spec forbids fusing into a multiply-add, so
+// every architecture rounds them like the reference loop.
 func duhamelWith(a []float64, dt, period, xi float64, hr, hvr []float64) (sd, sv, sa float64) {
 	n := len(a)
 	w := 2 * math.Pi / period
-	wd := w * math.Sqrt(1-xi*xi)
+	wd := w * math.Sqrt(1-float64(xi*xi))
 
 	// Precompute kernel tables h[k] = e^{-xi w k dt} sin(wd k dt) and the
 	// velocity kernel hv[k] = d/dt of the displacement kernel.  The legacy
@@ -237,7 +240,7 @@ func duhamelWith(a []float64, dt, period, xi float64, hr, hvr []float64) (sd, sv
 		e := math.Exp(-xi * w * tk)
 		s, c := math.Sincos(wd * tk)
 		hr[n-1-k] = e * s
-		hvr[n-1-k] = e * (wd*c - xi*w*s)
+		hvr[n-1-k] = e * (float64(wd*c) - float64(xi*w*s))
 	}
 	scale := -dt / wd
 	peak := func(du, dv float64) {
@@ -250,7 +253,7 @@ func duhamelWith(a []float64, dt, period, xi float64, hr, hvr []float64) (sd, sv
 			sv = av
 		}
 		// Absolute acceleration from the equation of motion.
-		if aa := math.Abs(-(2*xi*w*v + w*w*u)); aa > sa {
+		if aa := math.Abs(-(float64(2*xi*w*v) + float64(w*w*u))); aa > sa {
 			sa = aa
 		}
 	}
@@ -294,33 +297,33 @@ func conv4(as, r []float64) (s0, s1, s2, s3 float64) {
 	for ; j+4 <= len(as); j += 4 {
 		a, k := as[j:j+4:j+4], r[j:j+4:j+4]
 		k0 := k[0]
-		s0 += a[0] * k0
-		s1 += a[0] * k1
-		s2 += a[0] * k2
-		s3 += a[0] * k3
+		s0 += float64(a[0] * k0)
+		s1 += float64(a[0] * k1)
+		s2 += float64(a[0] * k2)
+		s3 += float64(a[0] * k3)
 		k3 = k[1]
-		s0 += a[1] * k3
-		s1 += a[1] * k0
-		s2 += a[1] * k1
-		s3 += a[1] * k2
+		s0 += float64(a[1] * k3)
+		s1 += float64(a[1] * k0)
+		s2 += float64(a[1] * k1)
+		s3 += float64(a[1] * k2)
 		k2 = k[2]
-		s0 += a[2] * k2
-		s1 += a[2] * k3
-		s2 += a[2] * k0
-		s3 += a[2] * k1
+		s0 += float64(a[2] * k2)
+		s1 += float64(a[2] * k3)
+		s2 += float64(a[2] * k0)
+		s3 += float64(a[2] * k1)
 		k1 = k[3]
-		s0 += a[3] * k1
-		s1 += a[3] * k2
-		s2 += a[3] * k3
-		s3 += a[3] * k0
+		s0 += float64(a[3] * k1)
+		s1 += float64(a[3] * k2)
+		s2 += float64(a[3] * k3)
+		s3 += float64(a[3] * k0)
 		// k1, k2, k3 hold r[j+3], r[j+2], r[j+1]: the rotation's order.
 	}
 	for ; j < len(as); j++ {
 		aj, k0 := as[j], r[j]
-		s0 += aj * k0
-		s1 += aj * k1
-		s2 += aj * k2
-		s3 += aj * k3
+		s0 += float64(aj * k0)
+		s1 += float64(aj * k1)
+		s2 += float64(aj * k2)
+		s3 += float64(aj * k3)
 		k1, k2, k3 = k0, k1, k2
 	}
 	return s0, s1, s2, s3
@@ -331,7 +334,7 @@ func conv4(as, r []float64) (s0, s1, s2, s3 float64) {
 func dotFrom(acc float64, as, r []float64, lo int) float64 {
 	r = r[:len(as)]
 	for j := lo; j < len(as); j++ {
-		acc += as[j] * r[j]
+		acc += float64(as[j] * r[j])
 	}
 	return acc
 }

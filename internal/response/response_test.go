@@ -272,7 +272,7 @@ func TestDefaultPeriodsSpanPaperFigure4(t *testing.T) {
 func referenceDuhamel(a []float64, dt, period, xi float64) (sd, sv, sa float64) {
 	n := len(a)
 	w := 2 * math.Pi / period
-	wd := w * math.Sqrt(1-xi*xi)
+	wd := w * math.Sqrt(1-float64(xi*xi))
 	h := make([]float64, n)
 	hv := make([]float64, n)
 	for k := 0; k < n; k++ {
@@ -280,15 +280,15 @@ func referenceDuhamel(a []float64, dt, period, xi float64) (sd, sv, sa float64) 
 		e := math.Exp(-xi * w * tk)
 		s, c := math.Sincos(wd * tk)
 		h[k] = e * s
-		hv[k] = e * (wd*c - xi*w*s)
+		hv[k] = e * (float64(wd*c) - float64(xi*w*s))
 	}
 	scale := -dt / wd
 	for i := 0; i < n; i++ {
 		var du, dv float64
 		for j := 0; j <= i; j++ {
 			aj := a[j]
-			du += aj * h[i-j]
-			dv += aj * hv[i-j]
+			du += float64(aj * h[i-j])
+			dv += float64(aj * hv[i-j])
 		}
 		u := scale * du
 		v := scale * dv
@@ -298,7 +298,7 @@ func referenceDuhamel(a []float64, dt, period, xi float64) (sd, sv, sa float64) 
 		if av := math.Abs(v); av > sv {
 			sv = av
 		}
-		if aa := math.Abs(-(2*xi*w*v + w*w*u)); aa > sa {
+		if aa := math.Abs(-(float64(2*xi*w*v) + float64(w*w*u))); aa > sa {
 			sa = aa
 		}
 	}
