@@ -1,12 +1,22 @@
 # Development targets.  `make ci` is the full gate (see ci.sh); the tier-1
 # gate the project must always keep green is `make build test`
-# (= go build ./... && go test ./..., per ROADMAP.md).
+# (= go build ./... && go test ./..., per ROADMAP.md).  `make loc` prints
+# the non-test Go line counts a refactor is judged by; it gates nothing.
 
 GO ?= go
 
-.PHONY: all fmt vet build test benchmark-test fma schedule race chaos cache-ablation cache-persist crash-resume fleet-bench stream-bench fuzz-smoke ingest-check bench ci
+.PHONY: all loc fmt vet build test benchmark-test fma schedule race chaos cache-ablation cache-persist crash-resume fleet-bench stream-bench fuzz-smoke ingest-check bench ci
 
 all: build
+
+# Non-test Go lines of each internal/ and cmd/ package, then of every Go
+# file outside benchmark/ (its own module) and hidden build directories.
+loc:
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do \
+		printf '%7d  %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" "$$d"; \
+	done
+	@printf '%7d  total outside benchmark/\n' \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l)"
 
 fmt:
 	@files="$$(gofmt -l .)"; \

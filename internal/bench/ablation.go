@@ -90,7 +90,7 @@ func RunAblations(ctx context.Context, spec synth.EventSpec, cfg Config) (Ablati
 		Response:      cfg.Response,
 		SimProcessors: resolveSimProcessors(cfg.SimProcessors),
 		Observer:      cfg.Observer,
-		Cache:         cfg.Cache,
+		Cache:         cacheFor(cfg.Cache, pipeline.FullParallel),
 		Storage:       cfg.Storage,
 	}
 	stagedSum := func(t pipeline.Timings) time.Duration {

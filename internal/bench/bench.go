@@ -238,7 +238,6 @@ func RunEvent(ctx context.Context, spec synth.EventSpec, cfg Config) (EventResul
 		Response:      cfg.Response,
 		SimProcessors: resolveSimProcessors(cfg.SimProcessors),
 		Observer:      o,
-		Cache:         cfg.Cache,
 		Storage:       cfg.Storage,
 	}
 	if cfg.ChaosRate > 0 {
@@ -252,6 +251,7 @@ func RunEvent(ctx context.Context, spec synth.EventSpec, cfg Config) (EventResul
 		for _, v := range cfg.Variants {
 			// Streaming applies only to the dataflow variant.
 			opts.Streaming = cfg.Streaming && v == pipeline.Pipelined
+			opts.Cache = cacheFor(cfg.Cache, v)
 			// Start every measurement from a clean heap so GC pressure
 			// accumulated by earlier variants cannot bias later ones.
 			runtime.GC()
@@ -284,6 +284,16 @@ func RunEvent(ctx context.Context, spec synth.EventSpec, cfg Config) (EventResul
 		}
 	}
 	return res, nil
+}
+
+// cacheFor is the cache configuration a run of variant v gets: the
+// persistent action cache serves Pipelined's record nodes only, so the
+// staged variants keep the memo layer in its place.
+func cacheFor(c pipeline.CacheConfig, v pipeline.Variant) pipeline.CacheConfig {
+	if c.Mode == pipeline.CachePersistent && v != pipeline.Pipelined {
+		return pipeline.CacheConfig{}
+	}
+	return c
 }
 
 // RunTable1 processes every configured event with every variant — the

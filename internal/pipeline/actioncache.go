@@ -36,12 +36,14 @@ import (
 // change — exactly the cross-record coupling the action cache exists to cut.
 //
 // Two outputs never land as work-directory files and ride the manifest as
-// "@"-prefixed side-channel blobs instead: the max-values fragment a filter
-// node hands its join (restored into b.fragsDef/b.fragsCor), and the picked
-// corners of process #10 (restored into b.picks, so the filter-params join
-// rewrites the identical merged file).  Join and global nodes always run —
-// they are cheap merges and metadata writes whose inputs the restored
-// fragments reproduce bit-for-bit.
+// "@"-prefixed side-channel blobs instead: a filter record's share of the
+// max-values metadata, and the corners process #10 picked for a record.
+// One codec per side-carrying process (sideCodecs) encodes the share from
+// the state the process's phases keep and restores it there, for the
+// action cache and the run journal alike, so the join nodes rewrite the
+// identical merged files.  Join and global nodes always run — they are
+// cheap merges and metadata writes whose inputs the restored shares
+// reproduce bit-for-bit.
 
 // actionScheme versions the digest layout; bump on any change to the hashed
 // fields so entries from older binaries can never alias.  v2: process #3
@@ -50,18 +52,90 @@ import (
 // input files are folded in as (name, content sum, size), not their bytes.
 const actionScheme = "accelproc/action/v3"
 
-// Side-channel blob names; "@" keeps them disjoint from real file names.
-const (
-	sideMaxValues = "@maxvalues"
-	sidePicks     = "@picks"
-)
+// sideCodec is the side channel of a process whose records each leave a
+// share of an event-global output for its join: blob names the share in an
+// action-cache manifest ("@" keeps it disjoint from real file names),
+// encode serializes record i's share from the compiled phases' state, and
+// decode restores it there.
+type sideCodec struct {
+	blob   string
+	encode func(c *stepGraph, pid ProcessID, i int) ([]byte, error)
+	decode func(c *stepGraph, pid ProcessID, i int, data []byte) error
+}
+
+// sideCodecs are the side-carrying processes: the filters' peaks, in the
+// max-values text format, and #10's picked corners, as JSON.
+var sideCodecs = map[ProcessID]sideCodec{
+	PDefaultFilter:   {"@maxvalues", encodePeaks, decodePeaks},
+	PCorrectedFilter: {"@maxvalues", encodePeaks, decodePeaks},
+	PPickCorners:     {"@picks", encodePicks, decodePicks},
+}
+
+func encodePeaks(c *stepGraph, pid ProcessID, i int) ([]byte, error) {
+	frag := smformat.MaxValues{Peaks: make(map[smformat.SignalKey]seismic.PeakValues, len(seismic.Components))}
+	for ci, comp := range seismic.Components {
+		frag.Peaks[smformat.SignalKey{Station: c.stations[i], Component: comp}] = c.peaks[pid][3*i+ci]
+	}
+	var buf bytes.Buffer
+	err := frag.Write(&buf)
+	return buf.Bytes(), err
+}
+
+func decodePeaks(c *stepGraph, pid ProcessID, i int, data []byte) error {
+	frag, err := smformat.ParseMaxValues(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	for ci, comp := range seismic.Components {
+		key := smformat.SignalKey{Station: c.stations[i], Component: comp}
+		pk, ok := frag.Peaks[key]
+		if !ok {
+			return fmt.Errorf("pipeline: max-values side payload lacks %s", key)
+		}
+		c.peaks[pid][3*i+ci] = pk
+	}
+	return nil
+}
+
+func encodePicks(c *stepGraph, _ ProcessID, i int) ([]byte, error) {
+	return json.Marshal([3]dsp.BandPassSpec(c.specs[3*i : 3*i+3]))
+}
+
+func decodePicks(c *stepGraph, _ ProcessID, i int, data []byte) error {
+	var specs [3]dsp.BandPassSpec
+	if err := json.Unmarshal(data, &specs); err != nil {
+		return err
+	}
+	copy(c.specs[3*i:], specs[:])
+	return nil
+}
+
+// side encodes record i's side payload of process pid under its blob name;
+// blob is "" for a process without a side channel.
+func (c *stepGraph) side(pid ProcessID, i int) (blob string, data []byte, err error) {
+	codec, ok := sideCodecs[pid]
+	if !ok {
+		return "", nil, nil
+	}
+	data, err = codec.encode(c, pid, i)
+	return codec.blob, data, err
+}
+
+// resumeSide feeds a journaled node's side payload back into record i's
+// share of the phases' state, as restoreNode does for a cached one.  A
+// process without a side channel restores vacuously; false means the
+// payload did not parse and the node must execute instead.
+func (c *stepGraph) resumeSide(pid ProcessID, i int, data []byte) bool {
+	codec, ok := sideCodecs[pid]
+	return !ok || codec.decode(c, pid, i, data) == nil
+}
 
 // nodeAction computes the action digest of one per-record node.  ok=false
 // means the node is not cacheable right now — no action cache, an input
 // unreadable (the body will surface the real error), or a process with no
 // digest rule — and the node must execute.
-func (b *dfBuild) nodeAction(pid ProcessID, st string) (artifact.ActionID, bool) {
-	s := b.s
+func (c *stepGraph) nodeAction(pid ProcessID, st string) (artifact.ActionID, bool) {
+	s := c.s
 	if s.acache == nil || st == "" {
 		return artifact.ActionID{}, false
 	}
@@ -75,12 +149,12 @@ func (b *dfBuild) nodeAction(pid ProcessID, st string) (artifact.ActionID, bool)
 		if err != nil {
 			return artifact.ActionID{}, false
 		}
-		ok = b.hashFiles(h, name)
+		ok = c.hashFiles(h, name)
 		h.String("format:" + s.opts.Format)
 		h.String("qc:" + s.opts.QC.String())
 	case PDefaultFilter, PCorrectedFilter:
-		ok = b.hashFilterParamsFor(h, st) &&
-			b.hashFiles(h, componentNames(smformat.V1ComponentFileName, st)...)
+		ok = c.hashFilterParamsFor(h, st) &&
+			c.hashFiles(h, componentNames(smformat.V1ComponentFileName, st)...)
 		h.Float(s.opts.TaperFraction)
 		if ins := s.opts.Instrument; ins != nil {
 			h.String(fmt.Sprintf("instrument:%#v", *ins))
@@ -88,17 +162,17 @@ func (b *dfBuild) nodeAction(pid ProcessID, st string) (artifact.ActionID, bool)
 			h.String("instrument:none")
 		}
 	case PFourier, PPlotAccel:
-		ok = b.hashFiles(h, componentNames(smformat.V2FileName, st)...)
+		ok = c.hashFiles(h, componentNames(smformat.V2FileName, st)...)
 	case PPlotFourier, PPickCorners:
 		h.String(fmt.Sprintf("pick:%#v", s.opts.Pick))
-		ok = b.hashFiles(h, componentNames(smformat.FourierFileName, st)...)
+		ok = c.hashFiles(h, componentNames(smformat.FourierFileName, st)...)
 	case PResponseSpectrum:
 		h.String(fmt.Sprintf("response:%#v", s.opts.Response))
-		ok = b.hashFiles(h, componentNames(smformat.V2FileName, st)...)
+		ok = c.hashFiles(h, componentNames(smformat.V2FileName, st)...)
 	case PPlotResponse:
-		ok = b.hashFiles(h, componentNames(smformat.ResponseFileName, st)...)
+		ok = c.hashFiles(h, componentNames(smformat.ResponseFileName, st)...)
 	case PGenerateGEM:
-		ok = b.hashFiles(h, append(componentNames(smformat.V2FileName, st),
+		ok = c.hashFiles(h, append(componentNames(smformat.V2FileName, st),
 			componentNames(smformat.ResponseFileName, st)...)...)
 	default:
 		return artifact.ActionID{}, false
@@ -121,9 +195,9 @@ func componentNames(name func(string, seismic.Component) string, st string) []st
 
 // hashFiles folds the named work-directory files (name, content sum, size)
 // into the digest; false if any is not a regular file.
-func (b *dfBuild) hashFiles(h *artifact.Hasher, names ...string) bool {
+func (c *stepGraph) hashFiles(h *artifact.Hasher, names ...string) bool {
 	for _, name := range names {
-		sum, size, ok := b.s.ws.Sum(b.s.path(name))
+		sum, size, ok := c.s.ws.Sum(c.s.path(name))
 		if !ok {
 			return false
 		}
@@ -137,8 +211,8 @@ func (b *dfBuild) hashFiles(h *artifact.Hasher, names ...string) bool {
 // hashFilterParamsFor folds the station's slice of the filter-params file
 // into the digest: the default corners plus this station's per-signal
 // entries (present or explicitly absent, per component).
-func (b *dfBuild) hashFilterParamsFor(h *artifact.Hasher, st string) bool {
-	params, err := b.s.readFilterParams(b.s.path(smformat.FilterParamsFile))
+func (c *stepGraph) hashFilterParamsFor(h *artifact.Hasher, st string) bool {
+	params, err := c.s.readFilterParams(c.s.path(smformat.FilterParamsFile))
 	if err != nil {
 		return false
 	}
@@ -198,110 +272,35 @@ func nodeOutputNames(pid ProcessID, st string) []string {
 
 // restoreNode attempts to satisfy one per-record node from the action
 // cache: real outputs are linked back into the work directory (see
-// ActionCache.RestoreInto), side-channel blobs decoded into the build's
-// fragment state.  Any failure — miss, damaged entry, or a workspace error —
-// reports false and the node executes normally (a real write error will
-// then resurface from the body itself).
-func (b *dfBuild) restoreNode(id artifact.ActionID, pid ProcessID, i int) bool {
+// ActionCache.RestoreInto), a side blob is decoded into record i's share of
+// the phases' state.  Any failure — miss, damaged entry, or a workspace
+// error — reports false and the node executes normally (a real write error
+// will then resurface from the body itself).
+func (c *stepGraph) restoreNode(id artifact.ActionID, pid ProcessID, i int) bool {
 	side := func(name string, data []byte) error {
-		switch name {
-		case sideMaxValues:
-			mv, err := smformat.ParseMaxValues(bytes.NewReader(data))
-			if err != nil {
-				return err
-			}
-			if pid == PDefaultFilter {
-				b.fragsDef[i] = mv
-			} else {
-				b.fragsCor[i] = mv
-			}
-			return nil
-		case sidePicks:
-			var specs [3]dsp.BandPassSpec
-			if err := json.Unmarshal(data, &specs); err != nil {
-				return err
-			}
-			b.picks[i] = specs
-			b.picked[i] = true
-			return nil
-		default:
+		codec, ok := sideCodecs[pid]
+		if !ok || name != codec.blob {
 			return fmt.Errorf("pipeline: unknown side-channel blob %q", name)
 		}
+		return codec.decode(c, pid, i, data)
 	}
-	restored, err := b.s.acache.RestoreInto(id, b.s.dir, side)
+	restored, err := c.s.acache.RestoreInto(id, c.s.dir, side)
 	return err == nil && restored
 }
 
-// restoreResumedSide feeds a journaled node's side-channel payload back
-// into the build's fragment state, exactly as restoreNode does for a cached
-// one: the max-values fragment into fragsDef/fragsCor, the picked corners
-// into picks.  Nodes without a side channel restore vacuously.  False means
-// the payload did not parse and the node must execute instead.
-func (b *dfBuild) restoreResumedSide(n journalNode, i int) bool {
-	switch n.pid {
-	case PDefaultFilter, PCorrectedFilter:
-		mv, err := smformat.ParseMaxValues(bytes.NewReader(n.side))
-		if err != nil {
-			return false
-		}
-		if n.pid == PDefaultFilter {
-			b.fragsDef[i] = mv
-		} else {
-			b.fragsCor[i] = mv
-		}
-	case PPickCorners:
-		var specs [3]dsp.BandPassSpec
-		if err := json.Unmarshal(n.side, &specs); err != nil {
-			return false
-		}
-		b.picks[i] = specs
-		b.picked[i] = true
-	}
-	return true
-}
-
-// encodeSide serializes one node's side-channel payload for its journal
-// record, mirroring storeNode's blob encoding (max-values text format,
-// picked corners as JSON).  ok=false means the payload is not ready —
-// journaling the node would hand resume an incomplete claim.
-func (b *dfBuild) encodeSide(pid ProcessID, i int) ([]byte, bool) {
-	switch pid {
-	case PDefaultFilter, PCorrectedFilter:
-		frag := b.fragsDef[i]
-		if pid == PCorrectedFilter {
-			frag = b.fragsCor[i]
-		}
-		var buf bytes.Buffer
-		if err := frag.Write(&buf); err != nil {
-			return nil, false
-		}
-		return buf.Bytes(), true
-	case PPickCorners:
-		if !b.picked[i] {
-			return nil, false
-		}
-		data, err := json.Marshal(b.picks[i])
-		if err != nil {
-			return nil, false
-		}
-		return data, true
-	}
-	return nil, true
-}
-
 // journalNodeDone appends one node-done record to the run journal (a no-op
-// when journaling is off), carrying the side-channel payload the node's
-// join consumes, under a journal.append task span of the node's span.
-func (b *dfBuild) journalNodeDone(node *obs.Span, pid ProcessID, st string, i int) {
-	if b.s.journal == nil {
+// when journaling is off), carrying the node's side payload, under a
+// journal.append task span of the node's span.
+func (c *stepGraph) journalNodeDone(node *obs.Span, pid ProcessID, df *dfNode) {
+	if c.s.journal == nil {
 		return
 	}
 	defer node.Child("journal.append", obs.KindTask).End()
-	side, ok := b.encodeSide(pid, i)
-	if !ok {
+	_, side, err := c.side(pid, df.i)
+	if err != nil {
 		return
 	}
-	b.s.journal.nodeDone(pid, st, side)
+	c.s.journal.nodeDone(pid, df.station, side)
 }
 
 // storeNode records one successfully executed per-record node's outputs
@@ -309,34 +308,20 @@ func (b *dfBuild) journalNodeDone(node *obs.Span, pid ProcessID, st string, i in
 // than their bytes, under an artifact.put task span of the node's span.
 // Best-effort in every direction: a missing output or a failed Put just
 // forfeits a future hit.
-func (b *dfBuild) storeNode(node *obs.Span, id artifact.ActionID, pid ProcessID, i int, st string) {
+func (c *stepGraph) storeNode(node *obs.Span, id artifact.ActionID, pid ProcessID, df *dfNode) {
 	defer node.Child("artifact.put", obs.KindTask).End()
-	s := b.s
-	names := nodeOutputNames(pid, st)
+	s := c.s
+	names := nodeOutputNames(pid, df.station)
 	blobs := make([]artifact.Blob, 0, len(names)+1)
 	for _, name := range names {
 		blobs = append(blobs, artifact.Blob{Name: name, Path: s.path(name)})
 	}
-	switch pid {
-	case PDefaultFilter, PCorrectedFilter:
-		frag := b.fragsDef[i]
-		if pid == PCorrectedFilter {
-			frag = b.fragsCor[i]
-		}
-		var buf bytes.Buffer
-		if err := frag.Write(&buf); err != nil {
-			return
-		}
-		blobs = append(blobs, artifact.Blob{Name: sideMaxValues, Data: buf.Bytes()})
-	case PPickCorners:
-		if !b.picked[i] {
-			return
-		}
-		data, err := json.Marshal(b.picks[i])
-		if err != nil {
-			return
-		}
-		blobs = append(blobs, artifact.Blob{Name: sidePicks, Data: data})
+	blob, data, err := c.side(pid, df.i)
+	if err != nil {
+		return
+	}
+	if blob != "" {
+		blobs = append(blobs, artifact.Blob{Name: blob, Data: data})
 	}
 	_ = s.acache.Put(id, blobs)
 }

@@ -2,20 +2,15 @@ package pipeline
 
 import (
 	"bufio"
-	"fmt"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"accelproc/internal/artifact"
 	"accelproc/internal/dataflow"
-	"accelproc/internal/dsp"
-	"accelproc/internal/fourier"
 	"accelproc/internal/obs"
 	"accelproc/internal/parallel"
-	"accelproc/internal/seismic"
-	"accelproc/internal/smformat"
 	"accelproc/internal/storage"
 	"accelproc/internal/stream"
 )
@@ -23,25 +18,31 @@ import (
 // This file implements the Pipelined variant: instead of the 11-stage
 // schedule with a barrier after every stage, the run is compiled into one
 // record-level task DAG and handed to the internal/dataflow executor.  The
-// graph is derived from the declared process artifacts (DeriveArtifactEdges),
-// never hand-written, so it cannot drift from the artifact table.
+// nodes run the bodies the staged plans run (steps.go's phases, built once
+// per process over all stations); the edges are derived from the declared
+// process artifacts (DeriveArtifactEdges), never hand-written, so they
+// cannot drift from the artifact table.
 //
 // Node granularity: a per-record process (PerRecordProcess) contributes one
-// node per station, so station A's Fourier transform can start the moment
-// A's default filter lands, while station B is still being filtered — the
-// inter-stage barrier the staged schedule imposes is gone.  A per-record
-// process that also writes an event-global artifact (the max-values metadata
-// of #4/#13, the filter-params file of #10) gets an extra join node that
-// merges the per-record fragments and performs the single global write;
-// downstream readers of the global artifact depend on the join, downstream
+// node per station running that station's units in phase order, so station
+// A's Fourier transform can start the moment A's default filter lands,
+// while station B is still being filtered — the inter-stage barrier the
+// staged schedule imposes is gone.  A temp-folder job is one record node:
+// its four protocol steps back to back.  The process's event-global rounds
+// become nodes of their own: a pre node for those before the units (the
+// filter-params read of the direct filters), a join node for those after
+// them (the max-values merge of #4/#13, the filter-params write of #10).
+// Downstream readers of the global artifact depend on the join, downstream
 // readers of the per-record files depend only on their own record's node.
 //
 // Edge mapping, per derived ArtifactEdge d→p:
 //   - record-scoped artifact (both ends per-record): d[r] → p[r];
-//   - global artifact read by p (RAW): producer → every p[r];
+//   - global artifact read by p (RAW): producer → pre(p) if p has one,
+//     else every p[r];
 //   - global artifact written by p (WAR/WAW): producer → join(p);
 // where the producer side is the global node of d, the join of d when d is a
-// per-record writer of the artifact, or all d[r] when d merely read it (WAR).
+// per-record writer of the artifact, or pre(d) and all d[r] when d merely
+// read it (WAR).
 //
 // Processes #0 and #1 run before the graph is built — #1 discovers the
 // record set the graph is shaped by — exactly as stage I of the staged
@@ -50,71 +51,45 @@ import (
 // Scheduling: critical-path-first with record size (NPTS, peeked from the V1
 // header) as the weight, so big records — the stragglers of the staged
 // schedule — enter the pool first.  Retry, quarantine, and chaos injection
-// work unchanged: the temp-folder nodes run the same per-record jobs as the
-// staged schedule (tempfolder.go), steps back to back, and a quarantined
-// record's downstream nodes complete as no-ops instead of poisoning the run.
+// work unchanged, and a quarantined record's downstream nodes complete as
+// no-ops instead of poisoning the run.
 
-// dfNodeMeta locates a node in the process/stage taxonomy for timing
-// attribution and metrics.
-type dfNodeMeta struct {
-	pid     ProcessID
-	stage   StageID
-	station string
+// dfNode is the data the Pipelined compile attaches to each of its nodes:
+// every one gets a node: span under the run span, and a per-(process,
+// record) node, the station's i-th, the record rules of openNode and
+// closeNode.  aid and cacheable are its action digest, taken as it runs.
+type dfNode struct {
+	station   string // "" for a global, pre or join node
+	i         int
+	aid       artifact.ActionID
+	cacheable bool
 }
 
-// dfBuild accumulates the graph, the per-node bodies' side-channel state
-// (max-values fragments, picked corners), and the per-node measurements.
-type dfBuild struct {
-	s        *state
-	g        *dataflow.Graph
-	stations []string
-	weights  []float64
-	exe      string
-
-	durs []time.Duration // per-node measured cost, written by node index
-	meta []dfNodeMeta
-
-	global map[ProcessID]dataflow.NodeID
-	perRec map[ProcessID][]dataflow.NodeID
-	join   map[ProcessID]dataflow.NodeID
-
-	fragsDef []smformat.MaxValues
-	fragsCor []smformat.MaxValues
-	picks    [][3]dsp.BandPassSpec
-	picked   []bool
-
-	// Streaming execution plane (Options.Streaming; see streamrun.go): the
-	// run's shared chunk pool, the gather pool of the blocking consumers,
-	// one stream per (producer process, record) stream edge, and the
-	// per-record scratch dirs holding stream spills.
-	pool       *stream.Pool
-	gatherPool *fourier.GatherPool
-	streams    map[ProcessID][]*stream.Stream
-	spillDirs  []string
+// dfProc is one process's nodes in the Pipelined graph: the ones that read
+// its event-global inputs (its global node, or its pre and record nodes),
+// the one that writes its event-global outputs (its global or join node),
+// and its record nodes.
+type dfProc struct {
+	readers []dataflow.NodeID
+	writer  dataflow.NodeID
+	recs    []dataflow.NodeID
 }
-
-// streaming reports whether this build runs the streaming execution plane.
-func (b *dfBuild) streaming() bool { return b.streams != nil }
 
 // runPipelined executes the dataflow variant: stage I as in the staged
 // schedule, then everything else as one barrier-free task graph.
 func (s *state) runPipelined() error {
-	b, err := s.preparePipelined()
+	c, err := s.preparePipelined()
 	if err != nil {
 		return err
 	}
-	if s.simulated() {
-		return s.executeDataflowSim(b)
-	}
-	return s.executeDataflow(b)
+	return s.executeDataflow(c)
 }
 
 // preparePipelined performs the Pipelined variant's pre-graph prologue —
-// stage I, station discovery, the shared filter-executable image — and
-// compiles the record-level task graph.  Split from runPipelined so the
-// fleet scheduler can run it as an event's admission-time Build phase on a
-// shared pool worker.
-func (s *state) preparePipelined() (*dfBuild, error) {
+// stage I, station discovery — and compiles the record-level task graph.
+// Split from runPipelined so the fleet scheduler can run it as an event's
+// admission-time Build phase on a shared pool worker.
+func (s *state) preparePipelined() (*stepGraph, error) {
 	if _, err := s.runSteps([]planStep{stageIStep}, nil, s.now()); err != nil {
 		return nil, err
 	}
@@ -122,61 +97,58 @@ func (s *state) preparePipelined() (*dfBuild, error) {
 	if err != nil {
 		return nil, err
 	}
-	exe := ""
-	if !s.opts.NoTempFolders {
-		// Installed once, up front, as the step compiler does for a staged
-		// plan: concurrent dataflow nodes must not race to create it.
-		if exe, err = s.ensureExeImage(); err != nil {
-			return nil, err
-		}
-	}
-	return s.buildDataflow(stations, exe)
+	return s.buildDataflow(stations)
 }
 
-// executeDataflow runs the graph on real goroutines with the run's worker
-// budget, then reports the scheduler metrics.
-func (s *state) executeDataflow(b *dfBuild) error {
-	defer b.teardownStreams()
+// executeDataflow runs the graph and folds its node costs into the
+// timings.  On real goroutines it uses the run's worker budget and reports
+// the scheduler metrics; on the simulated platform one worker dispatches
+// the bodies serially in priority order while the CPU clock measures each
+// node, then the virtual clock is charged the list-scheduling makespan of
+// the measured graph on the simulated processors.
+func (s *state) executeDataflow(c *stepGraph) error {
+	workers := parallel.Workers(s.opts.Workers)
 	var mon dataflow.Monitor
-	if o := s.opts.Observer; o != nil {
+	if s.simulated() {
+		workers = 1
+	} else if o := s.opts.Observer; o != nil {
 		mon = obs.NewWorkerMonitor(o, "dataflow")
 	}
-	stats, err := b.g.Execute(parallel.Workers(s.opts.Workers), mon)
-	b.foldTimings()
+	stats, err := c.g.Execute(workers, mon)
+	c.foldTimings()
+	c.teardown(err)
 	if err != nil {
 		return err
 	}
-	b.reportMetrics(stats)
+	if !s.simulated() {
+		c.reportMetrics(stats)
+		return nil
+	}
+	var serial time.Duration
+	for _, d := range c.durs {
+		serial += d
+	}
+	s.virt += c.g.SimMakespan(c.durs, s.opts.SimProcessors) - serial
 	return nil
 }
 
-// executeDataflowSim runs the graph on the simulated platform: one worker
-// dispatches the bodies serially in priority order while the CPU clock
-// measures each node, then the virtual clock is charged the list-scheduling
-// makespan of the measured graph on the simulated processors.
-func (s *state) executeDataflowSim(b *dfBuild) error {
-	defer b.teardownStreams()
-	_, err := b.g.Execute(1, nil)
-	b.foldTimings()
+// teardown releases the graph's streams and, after a failed run, the
+// scratch folders its temp-folder jobs left.
+func (c *stepGraph) teardown(err error) {
+	c.teardownStreams()
 	if err != nil {
-		return err
+		c.s.removeScratchDirs(c.scratch)
 	}
-	var serial time.Duration
-	for _, d := range b.durs {
-		serial += d
-	}
-	s.virt += b.g.SimMakespan(b.durs, s.opts.SimProcessors) - serial
-	return nil
 }
 
 // foldTimings attributes every node's measured cost to its process and
 // stage.  With no barriers there is no joint stage wall time; a stage's
 // entry is the summed cost of its nodes, which keeps per-stage comparisons
 // against the staged variants meaningful (work moved, not renamed).
-func (b *dfBuild) foldTimings() {
-	for i, m := range b.meta {
-		b.s.tim.Process[m.pid] += b.durs[i]
-		b.s.tim.Stage[m.stage] += b.durs[i]
+func (c *stepGraph) foldTimings() {
+	for i, pid := range c.pids {
+		c.s.tim.Process[pid] += c.durs[i]
+		c.s.tim.Stage[StageOf(pid)] += c.durs[i]
 	}
 }
 
@@ -184,8 +156,8 @@ func (b *dfBuild) foldTimings() {
 // distribution, and the total per-stage tail wait a barrier schedule would
 // have added (for every node, the gap between its finish and its stage's
 // last finish — exactly the idle time the dataflow executor reclaims).
-func (b *dfBuild) reportMetrics(stats []dataflow.NodeStat) {
-	o := b.s.opts.Observer
+func (c *stepGraph) reportMetrics(stats []dataflow.NodeStat) {
+	o := c.s.opts.Observer
 	if o == nil {
 		return
 	}
@@ -196,14 +168,14 @@ func (b *dfBuild) reportMetrics(stats []dataflow.NodeStat) {
 			continue
 		}
 		h.Observe(st.Wait().Seconds())
-		if stage := b.meta[st.ID].stage; st.End > stageEnd[stage] {
+		if stage := StageOf(c.pids[st.ID]); st.End > stageEnd[stage] {
 			stageEnd[stage] = st.End
 		}
 	}
 	var eliminated time.Duration
 	for _, st := range stats {
 		if !st.Skipped {
-			eliminated += stageEnd[b.meta[st.ID].stage] - st.End
+			eliminated += stageEnd[StageOf(c.pids[st.ID])] - st.End
 		}
 	}
 	o.Gauge("dataflow_barrier_wait_eliminated_seconds").Set(eliminated.Seconds())
@@ -211,20 +183,21 @@ func (b *dfBuild) reportMetrics(stats []dataflow.NodeStat) {
 
 // buildDataflow compiles the derived artifact edges into the record-level
 // task graph for the given surviving stations.
-func (s *state) buildDataflow(stations []string, exe string) (*dfBuild, error) {
-	b := &dfBuild{
-		s: s, g: dataflow.New(), stations: stations, exe: exe,
-		weights:  s.recordWeights(stations),
-		global:   map[ProcessID]dataflow.NodeID{},
-		perRec:   map[ProcessID][]dataflow.NodeID{},
-		join:     map[ProcessID]dataflow.NodeID{},
-		fragsDef: make([]smformat.MaxValues, len(stations)),
-		fragsCor: make([]smformat.MaxValues, len(stations)),
-		picks:    make([][3]dsp.BandPassSpec, len(stations)),
-		picked:   make([]bool, len(stations)),
+func (s *state) buildDataflow(stations []string) (*stepGraph, error) {
+	c := s.newStepGraph(stations)
+	c.weights = s.recordWeights(stations)
+	c.procs = map[ProcessID]*dfProc{}
+	if !s.opts.NoTempFolders {
+		// Installed once, up front, as for a staged plan: concurrent record
+		// nodes must not race to create it.
+		exe, err := s.ensureExeImage()
+		if err != nil {
+			return nil, err
+		}
+		c.exe = exe
 	}
 	if s.opts.Streaming {
-		if err := b.setupStreams(); err != nil {
+		if err := c.setupStreams(); err != nil {
 			return nil, err
 		}
 	}
@@ -239,37 +212,55 @@ func (s *state) buildDataflow(stations []string, exe string) (*dfBuild, error) {
 		if p.Redundant || p.ID <= PGatherInputs {
 			continue
 		}
-		b.addProcess(p.ID, incoming[p.ID])
+		c.addProcess(p.ID, incoming[p.ID])
 	}
-	return b, nil
+	return c, nil
 }
 
-// addProcess adds the node (or per-record nodes plus optional join) of one
-// process, wiring the derived edges per the mapping in the file comment.
-// Processes is iterated in chain order, so every producer node exists.
-func (b *dfBuild) addProcess(pid ProcessID, in []ArtifactEdge) {
-	if !PerRecordProcess(pid) {
-		var deps []dataflow.NodeID
-		for _, e := range in {
-			deps = append(deps, b.producersOf(e)...)
-		}
-		b.global[pid] = b.add(pid, "", b.s.globalBody(pid), deps, nil)
-		return
-	}
-	var recEdges, readEdges, writeEdges []ArtifactEdge
+// addProcess adds one process's nodes, compiled from its phases run with
+// temp folders (unless Options.NoTempFolders), wiring the derived edges per
+// the mapping in the file comment.  Processes is iterated in chain order,
+// so every producer node exists.
+func (c *stepGraph) addProcess(pid ProcessID, in []ArtifactEdge) {
+	name := Processes[pid].Name
+	phases := c.phases(pid, StratTempFolder)
+	var recEdges []ArtifactEdge
+	var reads, writes []dataflow.NodeID
 	for _, e := range in {
 		switch {
 		case RecordScoped(e.Artifact):
 			recEdges = append(recEdges, e)
 		case e.Hazard == HazardRAW:
-			readEdges = append(readEdges, e)
+			reads = append(reads, c.producersOf(e)...)
 		default:
-			writeEdges = append(writeEdges, e)
+			writes = append(writes, c.producersOf(e)...)
 		}
 	}
-	var shared []dataflow.NodeID
-	for _, e := range readEdges {
-		shared = append(shared, b.producersOf(e)...)
+	p := &dfProc{}
+	c.procs[pid] = p
+	if !PerRecordProcess(pid) {
+		p.writer = c.addNode(node{pid: pid, label: name, units: phases[0].units, df: &dfNode{}}, append(reads, writes...), nil)
+		p.readers = []dataflow.NodeID{p.writer}
+		return
+	}
+	first, last := 0, len(phases)
+	for first < last && phases[first].global() {
+		first++
+	}
+	for last > first && phases[last-1].global() {
+		last--
+	}
+	if first > 0 {
+		reads = []dataflow.NodeID{c.addNode(node{pid: pid, label: name + ":pre", units: unitsOf(phases[:first]), df: &dfNode{}}, reads, nil)}
+		p.readers = reads
+	}
+	index := make(map[string]int, len(c.stations))
+	for i, st := range c.stations {
+		index[st] = i
+	}
+	units := make([][]unit, len(c.stations))
+	for _, u := range unitsOf(phases[first:last]) {
+		units[index[u.station]] = append(units[index[u.station]], u)
 	}
 	// Under streaming, the record-scoped true dependency on this consumer's
 	// stream producer becomes a stream edge: the consumer node is released at
@@ -277,299 +268,128 @@ func (b *dfBuild) addProcess(pid ProcessID, in []ArtifactEdge) {
 	// flowing between them.  Every other record-scoped edge (WAR hazards, and
 	// artifact reads with no stream) stays a completion edge.
 	streamFrom, hasStream := streamProducerOf[pid]
-	ids := make([]dataflow.NodeID, len(b.stations))
-	for i, st := range b.stations {
-		deps := append([]dataflow.NodeID(nil), shared...)
+	for i, st := range c.stations {
+		deps := append([]dataflow.NodeID(nil), reads...)
 		var sdeps []dataflow.NodeID
 		for _, e := range recEdges {
-			if b.streaming() && hasStream && e.Hazard == HazardRAW && e.From == streamFrom {
-				sdeps = append(sdeps, b.perRec[e.From][i])
+			if c.streaming() && hasStream && e.Hazard == HazardRAW && e.From == streamFrom {
+				sdeps = append(sdeps, c.procs[e.From].recs[i])
 				continue
 			}
-			deps = append(deps, b.perRec[e.From][i])
+			deps = append(deps, c.procs[e.From].recs[i])
 		}
-		ids[i] = b.add(pid, st, b.recordBody(pid, i, st), deps, sdeps)
+		p.recs = append(p.recs, c.addNode(node{pid: pid, label: name + ":" + st, units: units[i], df: &dfNode{station: st, i: i}}, deps, sdeps))
 	}
-	b.perRec[pid] = ids
-	if !writesGlobal(pid) {
-		return
+	p.readers = append(p.readers, p.recs...)
+	if last < len(phases) {
+		p.writer = c.addNode(node{pid: pid, label: name + ":join", units: unitsOf(phases[last:]), df: &dfNode{}},
+			append(append([]dataflow.NodeID(nil), p.recs...), writes...), nil)
 	}
-	deps := append([]dataflow.NodeID(nil), ids...)
-	for _, e := range writeEdges {
-		deps = append(deps, b.producersOf(e)...)
+}
+
+// unitsOf lists the units of phases in order.
+func unitsOf(phases []phase) []unit {
+	var units []unit
+	for _, ph := range phases {
+		units = append(units, ph.units...)
 	}
-	b.join[pid] = b.add(pid, "", b.joinBody(pid), deps, nil)
+	return units
 }
 
 // producersOf resolves the producer side of one global-artifact edge to
-// concrete nodes.
-func (b *dfBuild) producersOf(e ArtifactEdge) []dataflow.NodeID {
-	if !PerRecordProcess(e.From) {
-		return []dataflow.NodeID{b.global[e.From]}
-	}
+// concrete nodes: for an anti-dependency every node of the producer that
+// read the artifact about to be overwritten, for a true or output
+// dependency the node that wrote it.
+func (c *stepGraph) producersOf(e ArtifactEdge) []dataflow.NodeID {
+	p := c.procs[e.From]
 	if e.Hazard == HazardWAR {
-		// Anti-dependency: wait for every per-record reader of the artifact
-		// about to be overwritten.
-		return b.perRec[e.From]
+		return p.readers
 	}
-	// True or output dependency on a per-record writer: its join node owns
-	// the merged global artifact.
-	return []dataflow.NodeID{b.join[e.From]}
+	return []dataflow.NodeID{p.writer}
 }
 
-// writesGlobal reports whether a per-record process also writes an
-// event-global artifact and therefore needs a join node.
-func writesGlobal(pid ProcessID) bool {
-	for _, a := range Processes[pid].Outputs {
-		if !RecordScoped(a) {
-			return true
-		}
+// openNode opens a Pipelined node's span and applies a per-(process,
+// record) node's skip rules.  A node the replayed journal validated as done
+// (outputs present, side payload journaled) restores its side payload and
+// skips — checked before the action cache, because the journal already
+// proved the outputs are in place.  A node whose digest of (process,
+// inputs, params) is cached restores its recorded outputs instead of
+// executing (see actioncache.go).  done reports a skip; a staged node (no
+// df) gets neither span nor rules.
+func (c *stepGraph) openNode(id dataflow.NodeID, n node, start time.Duration) (sp *obs.Span, done bool) {
+	df := n.df
+	if df == nil {
+		return nil, false
 	}
-	return false
-}
-
-// add registers one node: the body is wrapped with the quarantine skip, the
-// cancellation check, a task span under the run span, cost measurement, and
-// the fail-fast cancellation that staged nodes get too (steps.go).
-// sdeps names stream-edge producers (streaming runs only): the node is added
-// with AddStream so it is released at their dispatch instead of completion.
-func (b *dfBuild) add(pid ProcessID, station string, inner func() error, deps, sdeps []dataflow.NodeID) dataflow.NodeID {
-	s := b.s
-	id := dataflow.NodeID(b.g.Len())
-	name := Processes[pid].Name
-	label := name
-	weight := 0.0
-	if station != "" {
-		label = name + ":" + station
-		weight = b.weights[b.stationIndex(station)]
-	} else if PerRecordProcess(pid) {
-		label = name + ":join"
+	s := c.s
+	attrs := []obs.Attr{obs.Int("process", int64(n.pid)), obs.String("process_name", Processes[n.pid].Name)}
+	if df.station == "" {
+		return s.runSpan.Child("node:"+n.label, obs.KindTask, attrs...), false
 	}
-	alpha := s.opts.ContentionIO
-	if Processes[pid].Cost == CostHeavyFLOPS {
-		alpha = s.opts.ContentionCPU
-	}
-	b.durs = append(b.durs, 0)
-	b.meta = append(b.meta, dfNodeMeta{pid: pid, stage: StageOf(pid), station: station})
-	run := func() error {
-		if station != "" && s.isQuarantined(station) {
-			return nil
-		}
-		if err := s.cancelled(); err != nil {
-			return err
-		}
-		attrs := []obs.Attr{obs.Int("process", int64(pid)), obs.String("process_name", name)}
-		if station != "" {
-			attrs = append(attrs, obs.String("record", station))
-		}
-		start := s.now()
-		// Resume skip rule: a node the replayed journal validated as done
-		// (outputs present, side-channel payload journaled) restores its
-		// side-channel state and skips — checked before the action cache,
-		// because the journal already proved the outputs are in place.
-		if station != "" && s.resumeDone != nil {
-			if n, ok := s.resumeDone[nodeKey{pid: pid, st: station}]; ok &&
-				b.restoreResumedSide(n, b.stationIndex(station)) {
-				d := s.now() - start
-				b.durs[id] = d
-				s.nodesSkipped.Add(1)
-				s.nodesSkippedCtr.Add(1)
-				sp := s.runSpan.Child("node:"+label, obs.KindTask,
-					append(attrs, obs.String("resume", "skip"))...)
-				sp.EndCharged(d)
-				return nil
-			}
-		}
-		// Action-cache skip rule: a per-record node whose digest of (process,
-		// inputs, params) is cached restores its recorded outputs instead of
-		// executing (see actioncache.go).
-		aid, cacheable := b.nodeAction(pid, station)
-		if cacheable && b.restoreNode(aid, pid, b.stationIndex(station)) {
-			d := s.now() - start
-			b.durs[id] = d
-			sp := s.runSpan.Child("node:"+label, obs.KindTask,
-				append(attrs, obs.String("action_cache", "hit"))...)
-			b.journalNodeDone(sp, pid, station, b.stationIndex(station))
-			sp.EndCharged(d)
-			return nil
-		}
-		sp := s.runSpan.Child("node:"+label, obs.KindTask, attrs...)
-		err := inner()
+	attrs = append(attrs, obs.String("record", df.station))
+	if jn, ok := s.resumeDone[nodeKey{pid: n.pid, st: df.station}]; ok && c.resumeSide(n.pid, df.i, jn.side) {
 		d := s.now() - start
-		b.durs[id] = d
-		if err != nil {
-			sp.EndCharged(d, obs.String("error", err.Error()))
-			if classify(err) != ErrKindCanceled {
-				s.fail(err)
-			}
-			return fmt.Errorf("pipeline: process #%d (%s): %w", pid, name, err)
-		}
-		if station != "" {
-			s.recNodesExec.Add(1)
-			// Re-check quarantine: graceful degradation may have condemned the
-			// record *during* the body, in which case its outputs are partial
-			// or gone and must not be recorded as this digest's results.
-			if !s.isQuarantined(station) {
-				// The Put and the journal append run after d was taken, so
-				// each opens a task span of its own under the node's span.
-				if cacheable {
-					b.storeNode(sp, aid, pid, b.stationIndex(station), station)
-				}
-				// Journal the node *after* its outputs landed: the record is
-				// the durability acknowledgment the resume validation trusts.
-				b.journalNodeDone(sp, pid, station, b.stationIndex(station))
-			}
-		}
+		c.durs[id] = d
+		s.nodesSkipped.Add(1)
+		s.nodesSkippedCtr.Add(1)
+		s.runSpan.Child("node:"+n.label, obs.KindTask, append(attrs, obs.String("resume", "skip"))...).EndCharged(d)
+		return nil, true
+	}
+	df.aid, df.cacheable = c.nodeAction(n.pid, df.station)
+	if df.cacheable && c.restoreNode(df.aid, n.pid, df.i) {
+		d := s.now() - start
+		c.durs[id] = d
+		sp := s.runSpan.Child("node:"+n.label, obs.KindTask, append(attrs, obs.String("action_cache", "hit"))...)
+		c.journalNodeDone(sp, n.pid, df)
 		sp.EndCharged(d)
-		return nil
+		return nil, true
 	}
-	// A streamed producer must close its out-stream no matter how the node
-	// ends — an error, a quarantine skip or a resume skip leaves the consumer
-	// blocked on Header or Recv otherwise.  Close is first-reason-wins: a
-	// body that streamed has already closed the stream cleanly, and every
-	// skip degrades the consumer to its durable-artifact fallback.
-	if out := b.outStream(pid, station); out != nil {
-		body := run
-		run = func() error {
-			err := body()
-			if err != nil {
-				out.Close(err)
-			} else {
-				out.Close(stream.ErrFallback)
-			}
-			return err
-		}
-	}
-	spec := dataflow.Spec{Label: label, Weight: weight, Alpha: alpha, Run: run}
-	if len(sdeps) > 0 {
-		return b.g.AddStream(spec, dedupNodes(sdeps), dedupNodes(deps)...)
-	}
-	return b.g.Add(spec, dedupNodes(deps)...)
+	return s.runSpan.Child("node:"+n.label, obs.KindTask, attrs...), false
 }
 
-func (b *dfBuild) stationIndex(st string) int {
-	for i, have := range b.stations {
-		if have == st {
-			return i
-		}
+// closeNode finishes a per-(process, record) node that ran its units: it
+// counts the node and, unless graceful degradation condemned the record
+// during the units (its outputs are partial or gone), stores the outputs
+// under the node's digest and journals the node.  The Put and the journal
+// append run after the node's cost was taken, so each opens a task span of
+// its own under the node's span.
+func (c *stepGraph) closeNode(sp *obs.Span, n node) {
+	df := n.df
+	if df == nil || df.station == "" {
+		return
 	}
-	return 0
+	c.s.recNodesExec.Add(1)
+	if c.s.isQuarantined(df.station) {
+		return
+	}
+	if df.cacheable {
+		c.storeNode(sp, df.aid, n.pid, df)
+	}
+	// Journal the node *after* its outputs landed: the record is the
+	// durability acknowledgment the resume validation trusts.
+	c.journalNodeDone(sp, n.pid, df)
 }
 
-// dedupNodes sorts and deduplicates a dependency list in place.
-func dedupNodes(deps []dataflow.NodeID) []dataflow.NodeID {
-	if len(deps) < 2 {
-		return deps
+// closingStream wraps the body of a streamed producer's record node so it
+// closes its out-stream no matter how the node ends — an error, a
+// quarantine skip or a resume skip leaves the consumer blocked on Header or
+// Recv otherwise.  Close is first-reason-wins: a body that streamed has
+// already closed the stream cleanly, and every skip degrades the consumer
+// to its durable-artifact fallback.
+func (c *stepGraph) closingStream(pid ProcessID, df *dfNode, run func() error) func() error {
+	out := c.outStream(pid, df)
+	if out == nil {
+		return run
 	}
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
-	out := deps[:1]
-	for _, d := range deps[1:] {
-		if d != out[len(out)-1] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// recordBody returns the body of one process's node for station index i:
-// the station's staged per-unit bodies (steps.go) one after another, except
-// where the node keeps a side channel for its join, streams, or runs the
-// record's temp-folder job.
-func (b *dfBuild) recordBody(pid ProcessID, i int, st string) func() error {
-	s := b.s
-	switch {
-	case pid == PDefaultFilter:
-		return b.filterRecordBody(PDefaultFilter, b.fragsDef, i, st)
-	case pid == PCorrectedFilter:
-		return b.filterRecordBody(PCorrectedFilter, b.fragsCor, i, st)
-	case pid == PPickCorners:
-		return func() error {
-			var specs [3]dsp.BandPassSpec
-			for ci, comp := range seismic.Components {
-				spec, err := s.pickSignalSpec(st, comp)
-				if err != nil {
-					return err
-				}
-				specs[ci] = spec
-			}
-			b.picks[i] = specs
-			b.picked[i] = true
-			return nil
-		}
-	case b.streaming() && pid == PSeparateComponents:
-		return func() error { return b.streamSeparateStation(i, st) }
-	case b.streaming() && pid == PFourier:
-		return func() error { return b.streamFourierRecord(i, st) }
-	case b.streaming() && pid == PResponseSpectrum:
-		return func() error { return b.streamResponseRecord(i, st) }
-	case pid == PFourier && !s.opts.NoTempFolders:
-		return func() error { return s.runTempJob(s.newTempJob(PFourier, i, st, b.exe)) }
-	}
-	phases := (&stepGraph{s: s, stations: []string{st}}).phases(pid, StratSequential)
 	return func() error {
-		for _, ph := range phases {
-			for _, u := range ph.units {
-				if err := u.run(); err != nil {
-					return err
-				}
-			}
+		err := run()
+		if err != nil {
+			out.Close(err)
+		} else {
+			out.Close(stream.ErrFallback)
 		}
-		return nil
+		return err
 	}
-}
-
-// filterRecordBody builds the per-record body of processes #4 and #13,
-// storing the record's max-values fragment for the join node to merge (a
-// quarantined record contributes none).
-func (b *dfBuild) filterRecordBody(pid ProcessID, frags []smformat.MaxValues, i int, st string) func() error {
-	s := b.s
-	return func() error {
-		var frag smformat.MaxValues
-		var err error
-		switch {
-		case b.streaming():
-			frag, err = b.streamFilterRecord(pid, i, st)
-		case s.opts.NoTempFolders:
-			frag, err = s.filterRecord(s.dir, st)
-		default:
-			j := s.newTempJob(pid, i, st, b.exe)
-			err = s.runTempJob(j)
-			frag = j.peaks
-		}
-		if err != nil || s.isQuarantined(st) {
-			return err
-		}
-		frags[i] = frag
-		return nil
-	}
-}
-
-// joinBody returns the merge body of a per-record process's join node.
-func (b *dfBuild) joinBody(pid ProcessID) func() error {
-	s := b.s
-	switch pid {
-	case PDefaultFilter:
-		return func() error { return s.writeMergedMaxValues(b.fragsDef) }
-	case PCorrectedFilter:
-		return func() error { return s.writeMergedMaxValues(b.fragsCor) }
-	case PPickCorners:
-		return func() error {
-			params, err := s.readFilterParams(s.path(smformat.FilterParamsFile))
-			if err != nil {
-				return err
-			}
-			for i, st := range b.stations {
-				if !b.picked[i] {
-					continue // quarantined before its pick node ran
-				}
-				for ci, comp := range seismic.Components {
-					params.PerSignal[smformat.SignalKey{Station: st, Component: comp}] = b.picks[i][ci]
-				}
-			}
-			return s.writeFilterParams(s.path(smformat.FilterParamsFile), params)
-		}
-	}
-	panic(fmt.Sprintf("pipeline: no dataflow join body for process #%d", pid))
 }
 
 // recordWeights estimates each record's size so the scheduler starts the

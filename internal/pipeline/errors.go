@@ -108,19 +108,26 @@ var ErrUnsupported = errors.New("pipeline: unsupported option combination")
 // call it first.
 func (o Options) Validate(variant Variant) error {
 	var pair, why string
+	persistent := o.Cache.Mode == CachePersistent
 	switch {
-	case !o.Streaming:
-		return nil
-	case variant != Pipelined:
+	case o.Streaming && variant != Pipelined:
 		pair, why = "Streaming with variant "+variant.String(), "streaming requires the pipelined variant"
-	case o.Chaos != nil:
+	case o.Streaming && o.Chaos != nil:
 		// Chaos interposes on the temp-folder protocol, which the streaming
 		// plane bypasses entirely: combined, chaos would test nothing.
 		pair, why = "Streaming with Chaos", "streaming mode cannot be combined with chaos fault injection"
-	case o.Cache.Mode == CachePersistent:
+	case o.Streaming && persistent:
 		// Streamed outputs are written incrementally, never read back whole
 		// for a Put, and restores would race the stream consumers.
 		pair, why = "Streaming with CachePersistent", "streaming mode cannot be combined with the persistent action cache"
+	case persistent && variant != Pipelined:
+		// The action cache keys Pipelined's per-(process, record) nodes;
+		// a staged plan has none to look up.
+		pair, why = "CachePersistent with variant "+variant.String(), "the persistent action cache requires the pipelined variant"
+	case persistent && o.Chaos != nil:
+		// Fault injection must exercise the real staging protocol, not
+		// cached restores of it.
+		pair, why = "CachePersistent with Chaos", "the persistent action cache cannot be combined with chaos fault injection"
 	default:
 		return nil
 	}

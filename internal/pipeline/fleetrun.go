@@ -137,7 +137,7 @@ type fleetEvent struct {
 	dir   string
 	opts  Options
 	s     *state
-	b     *dfBuild
+	b     *stepGraph
 	start time.Duration
 	res   BatchResult
 }
@@ -170,11 +170,11 @@ func (e *fleetEvent) finish(err error) error {
 		// newState itself failed; there is no run to finalize.
 		return err
 	}
-	if err == nil && e.b != nil {
-		e.b.foldTimings()
-	}
 	if e.b != nil {
-		e.b.teardownStreams()
+		if err == nil {
+			e.b.foldTimings()
+		}
+		e.b.teardown(err)
 	}
 	res, ferr := e.s.finishRun(Pipelined, e.start, err)
 	// The flush Run performs in its defer: chaos tally and cancel-cause

@@ -416,15 +416,12 @@ func (s *state) initJournal(variant Variant) {
 
 // resumableNode validates one journaled node against the work directory:
 // every declared output file must still be present, and nodes whose join
-// consumes a side-channel payload must have journaled one.  A node that
-// fails validation simply re-executes — from its persistent inputs, which
-// the protocol never destroys (stage-out always returns them).
+// consumes a side-channel payload (sideCodecs) must have journaled one.  A
+// node that fails validation simply re-executes — from its persistent
+// inputs, which the protocol never destroys (stage-out always returns them).
 func (s *state) resumableNode(n journalNode) bool {
-	switch n.pid {
-	case PDefaultFilter, PCorrectedFilter, PPickCorners:
-		if len(n.side) == 0 {
-			return false
-		}
+	if _, ok := sideCodecs[n.pid]; ok && len(n.side) == 0 {
+		return false
 	}
 	for _, name := range nodeOutputNames(n.pid, n.station) {
 		info, err := s.ws.Stat(s.path(name))

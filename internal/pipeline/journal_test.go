@@ -159,6 +159,17 @@ func TestParseJournalKeepsLongestValidPrefix(t *testing.T) {
 // last node leaves), and resume.  Every per-record node must be skipped from
 // the journal — the action cache is cold, so the journal alone proves it.
 func TestResumeSkipsJournaledNodes(t *testing.T) {
+	for _, mode := range tempFolderModes {
+		t.Run(mode.name, func(t *testing.T) { resumeSkipsJournaledNodes(t, mode.noTemp) })
+	}
+}
+
+func resumeSkipsJournaledNodes(t *testing.T, noTemp bool) {
+	options := func() Options {
+		opts := journalOptions()
+		opts.NoTempFolders = noTemp
+		return opts
+	}
 	ctx := context.Background()
 	ev := testEvent(t)
 	const stations = 3
@@ -167,7 +178,7 @@ func TestResumeSkipsJournaledNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first := journalOptions()
+	first := options()
 	res, err := Run(ctx, dir, Pipelined, first)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +193,7 @@ func TestResumeSkipsJournaledNodes(t *testing.T) {
 	ref := productHashes(t, dir)
 
 	dropFinish(t, dir)
-	resume := journalOptions()
+	resume := options()
 	resume.Resume = true
 	res, err = Run(ctx, dir, Pipelined, resume)
 	if err != nil {
@@ -210,7 +221,7 @@ func TestResumeSkipsJournaledNodes(t *testing.T) {
 
 	// The resumed run finished, so resuming again finds a finished journal
 	// and re-executes everything.
-	again := journalOptions()
+	again := options()
 	again.Resume = true
 	res, err = Run(ctx, dir, Pipelined, again)
 	if err != nil {

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"accelproc/internal/artifact"
+	"accelproc/internal/faults"
 	"accelproc/internal/obs"
 	"accelproc/internal/seismic"
 	"accelproc/internal/smformat"
@@ -99,78 +102,98 @@ func assertSameProducts(t *testing.T, got, ref map[string]string, when string) {
 	}
 }
 
+// tempFolderModes are the two bodies of Pipelined's filter and Fourier
+// record nodes: the temp-folder jobs, and the direct loops
+// (Options.NoTempFolders).
+var tempFolderModes = []struct {
+	name   string
+	noTemp bool
+}{{"temp-folders", false}, {"direct", true}}
+
 func TestWarmRestartSkipsUnchangedRecords(t *testing.T) {
 	for _, backend := range []storage.Backend{storage.BackendFS, storage.BackendMem} {
-		backend := backend
 		t.Run(string(backend), func(t *testing.T) {
-			ctx := context.Background()
-			const stations = 8
-			dir := filepath.Join(t.TempDir(), "work")
-			preparePersistDir(t, dir, "")
-
-			// Cold run: every per-record node executes and populates the cache.
-			cold := persistOptions(backend)
-			res, err := Run(ctx, dir, Pipelined, cold)
-			if err != nil {
-				t.Fatal(err)
+			for _, mode := range tempFolderModes {
+				t.Run(mode.name, func(t *testing.T) {
+					warmRestartSkipsUnchangedRecords(t, backend, mode.noTemp)
+				})
 			}
-			if got := recordNodesExecuted(cold); got != stations*perRecordNodes {
-				t.Fatalf("cold run executed %d record nodes, want %d", got, stations*perRecordNodes)
-			}
-			if res.Cache.ActionHits != 0 || res.Cache.ActionMisses != stations*perRecordNodes {
-				t.Fatalf("cold run cache stats %+v, want 0 hits / %d misses", res.Cache, stations*perRecordNodes)
-			}
-			coldRef := productHashes(t, dir)
-
-			// Fully-warm restart: a fresh pipeline state over the surviving
-			// .smcache restores everything.
-			if err := CleanOutputs(dir); err != nil {
-				t.Fatal(err)
-			}
-			warm := persistOptions(backend)
-			res, err = Run(ctx, dir, Pipelined, warm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := recordNodesExecuted(warm); got != 0 {
-				t.Errorf("fully-warm run executed %d record nodes, want 0", got)
-			}
-			if res.Cache.ActionHits != stations*perRecordNodes || res.Cache.ActionMisses != 0 {
-				t.Errorf("fully-warm cache stats %+v, want %d hits / 0 misses", res.Cache, stations*perRecordNodes)
-			}
-			if hv := warm.Observer.Counter("action_cache_hits_total").Value(); int64(hv) != res.Cache.ActionHits {
-				t.Errorf("action_cache_hits_total = %v, Result says %d", hv, res.Cache.ActionHits)
-			}
-			assertSameProducts(t, productHashes(t, dir), coldRef, "fully warm")
-
-			// Flip one station's input: only that record's subgraph re-executes.
-			preparePersistDir(t, dir, "SS03")
-			if err := CleanOutputs(dir); err != nil {
-				t.Fatal(err)
-			}
-			flip := persistOptions(backend)
-			res, err = Run(ctx, dir, Pipelined, flip)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := recordNodesExecuted(flip); got != perRecordNodes {
-				t.Errorf("flipped run executed %d record nodes, want %d (only SS03's subgraph)", got, perRecordNodes)
-			}
-			if want := int64((stations - 1) * perRecordNodes); res.Cache.ActionHits != want {
-				t.Errorf("flipped run action hits = %d, want %d", res.Cache.ActionHits, want)
-			}
-
-			// The flipped warm outputs must be byte-identical to a cold run
-			// over the same (flipped) inputs.
-			refDir := filepath.Join(t.TempDir(), "ref")
-			preparePersistDir(t, refDir, "SS03")
-			refOpts := persistOptions(backend)
-			if _, err := Run(ctx, refDir, Pipelined, refOpts); err != nil {
-				t.Fatal(err)
-			}
-			assertSameProducts(t, productHashes(t, dir), productHashes(t, refDir), "flipped warm")
 		})
 	}
+}
+
+func warmRestartSkipsUnchangedRecords(t *testing.T, backend storage.Backend, noTemp bool) {
+	options := func() Options {
+		opts := persistOptions(backend)
+		opts.NoTempFolders = noTemp
+		return opts
+	}
+	ctx := context.Background()
+	const stations = 8
+	dir := filepath.Join(t.TempDir(), "work")
+	preparePersistDir(t, dir, "")
+
+	// Cold run: every per-record node executes and populates the cache.
+	cold := options()
+	res, err := Run(ctx, dir, Pipelined, cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recordNodesExecuted(cold); got != stations*perRecordNodes {
+		t.Fatalf("cold run executed %d record nodes, want %d", got, stations*perRecordNodes)
+	}
+	if res.Cache.ActionHits != 0 || res.Cache.ActionMisses != stations*perRecordNodes {
+		t.Fatalf("cold run cache stats %+v, want 0 hits / %d misses", res.Cache, stations*perRecordNodes)
+	}
+	coldRef := productHashes(t, dir)
+
+	// Fully-warm restart: a fresh pipeline state over the surviving
+	// .smcache restores everything.
+	if err := CleanOutputs(dir); err != nil {
+		t.Fatal(err)
+	}
+	warm := options()
+	res, err = Run(ctx, dir, Pipelined, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recordNodesExecuted(warm); got != 0 {
+		t.Errorf("fully-warm run executed %d record nodes, want 0", got)
+	}
+	if res.Cache.ActionHits != stations*perRecordNodes || res.Cache.ActionMisses != 0 {
+		t.Errorf("fully-warm cache stats %+v, want %d hits / 0 misses", res.Cache, stations*perRecordNodes)
+	}
+	if hv := warm.Observer.Counter("action_cache_hits_total").Value(); int64(hv) != res.Cache.ActionHits {
+		t.Errorf("action_cache_hits_total = %v, Result says %d", hv, res.Cache.ActionHits)
+	}
+	assertSameProducts(t, productHashes(t, dir), coldRef, "fully warm")
+
+	// Flip one station's input: only that record's subgraph re-executes.
+	preparePersistDir(t, dir, "SS03")
+	if err := CleanOutputs(dir); err != nil {
+		t.Fatal(err)
+	}
+	flip := options()
+	res, err = Run(ctx, dir, Pipelined, flip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recordNodesExecuted(flip); got != perRecordNodes {
+		t.Errorf("flipped run executed %d record nodes, want %d (only SS03's subgraph)", got, perRecordNodes)
+	}
+	if want := int64((stations - 1) * perRecordNodes); res.Cache.ActionHits != want {
+		t.Errorf("flipped run action hits = %d, want %d", res.Cache.ActionHits, want)
+	}
+
+	// The flipped warm outputs must be byte-identical to a cold run
+	// over the same (flipped) inputs.
+	refDir := filepath.Join(t.TempDir(), "ref")
+	preparePersistDir(t, refDir, "SS03")
+	refOpts := options()
+	if _, err := Run(ctx, refDir, Pipelined, refOpts); err != nil {
+		t.Fatal(err)
+	}
+	assertSameProducts(t, productHashes(t, dir), productHashes(t, refDir), "flipped warm")
 }
 
 // TestWarmRestartCorruptedEntryRecomputes damages the persisted cache and
@@ -395,7 +418,7 @@ func TestActionCacheDigestFollowsContent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := &dfBuild{s: s}
+		b := &stepGraph{s: s}
 		names := componentNames(smformat.V2FileName, "SS01")
 		for i, name := range names {
 			if err := s.ws.WriteFile(s.path(name), []byte(fmt.Sprintf("component %d bytes", i)), 0o644); err != nil {
@@ -430,5 +453,167 @@ func TestActionCacheDigestFollowsContent(t *testing.T) {
 	}
 	if digests[storage.BackendFS] != digests[storage.BackendMem] {
 		t.Error("fs and mem digests differ for identical inputs")
+	}
+}
+
+// TestSideChannelJournalMatchesActionCache pins the one side-channel codec:
+// for the filters (#4, #13, with temp folders on and off) and the corner
+// pick (#10), the payload a node journals is the blob the action cache
+// stored for it, and restoring the payloads from either — a journal resume
+// with no cache, a warm run with no journal — rewrites max-values and the
+// filter parameters byte for byte.
+func TestSideChannelJournalMatchesActionCache(t *testing.T) {
+	for _, mode := range tempFolderModes {
+		t.Run(mode.name, func(t *testing.T) {
+			ctx := context.Background()
+			dir := filepath.Join(t.TempDir(), "work")
+			if err := PrepareWorkDir(dir, testEvent(t)); err != nil {
+				t.Fatal(err)
+			}
+			opts := persistOptions(storage.BackendFS)
+			opts.Journal = true
+			opts.NoTempFolders = mode.noTemp
+			if _, err := Run(ctx, dir, Pipelined, opts); err != nil {
+				t.Fatal(err)
+			}
+			merged := []string{smformat.MaxValuesFile, smformat.FilterParamsFile}
+			ref := map[string][]byte{}
+			for _, name := range merged {
+				data, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref[name] = data
+			}
+			assertMerged := func(when string) {
+				t.Helper()
+				for _, name := range merged {
+					if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(data, ref[name]) {
+						t.Errorf("%s: %s differs from the first run's (%v)", when, name, err)
+					}
+				}
+			}
+
+			// Look up every side-carrying node's cache entry.  #4 was keyed
+			// by the default corners, before #10 added its picks.
+			s, err := newState(ctx, dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.fail(nil)
+			stations, err := s.recordStations()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &stepGraph{s: s}
+			blobs := map[nodeKey][]byte{}
+			for _, pid := range []ProcessID{PDefaultFilter, PCorrectedFilter, PPickCorners} {
+				if pid == PDefaultFilter {
+					if err := s.procInitFilterParams(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, st := range stations {
+					id, ok := c.nodeAction(pid, st)
+					if !ok {
+						t.Fatalf("#%d %s: not cacheable", pid, st)
+					}
+					hit, err := s.acache.Restore(id, func(name string, data []byte) error {
+						if name == sideCodecs[pid].blob {
+							blobs[nodeKey{pid: pid, st: st}] = data
+						}
+						return nil
+					})
+					if !hit || err != nil {
+						t.Fatalf("#%d %s: cache entry missing (%v)", pid, st, err)
+					}
+				}
+				if pid == PDefaultFilter {
+					if err := os.WriteFile(filepath.Join(dir, smformat.FilterParamsFile), ref[smformat.FilterParamsFile], 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			sides := 0
+			for _, n := range parseJournal(readJournal(t, dir)).nodes {
+				if _, ok := sideCodecs[n.pid]; !ok {
+					continue
+				}
+				sides++
+				if blob := blobs[nodeKey{pid: n.pid, st: n.station}]; len(n.side) == 0 || !bytes.Equal(n.side, blob) {
+					t.Errorf("#%d %s: journaled side payload %q, cached blob %q", n.pid, n.station, n.side, blob)
+				}
+			}
+			if sides != len(blobs) {
+				t.Errorf("journal carries %d side payloads, the cache %d", sides, len(blobs))
+			}
+
+			// Restore from the journal alone.
+			dropFinish(t, dir)
+			for _, name := range merged {
+				if err := os.Remove(filepath.Join(dir, name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resume := journalOptions()
+			resume.NoTempFolders = mode.noTemp
+			resume.Resume = true
+			res, err := Run(ctx, dir, Pipelined, resume)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := recordNodesExecuted(resume); got != 0 || !res.Resume.Resumed {
+				t.Errorf("journal resume executed %d record nodes (resumed %v), want 0", got, res.Resume.Resumed)
+			}
+			assertMerged("journal resume")
+
+			// Restore from the action cache alone.
+			if err := CleanOutputs(dir); err != nil {
+				t.Fatal(err)
+			}
+			warm := persistOptions(storage.BackendFS)
+			warm.NoTempFolders = mode.noTemp
+			if _, err := Run(ctx, dir, Pipelined, warm); err != nil {
+				t.Fatal(err)
+			}
+			if got := recordNodesExecuted(warm); got != 0 {
+				t.Errorf("warm run executed %d record nodes, want 0", got)
+			}
+			assertMerged("warm run")
+		})
+	}
+}
+
+// TestPersistentCacheRejectsStagedAndChaos: the persistent action cache
+// serves Pipelined's record nodes only, and chaos must exercise the real
+// staging protocol, so both combinations are refused up front instead of
+// running with the cache silently unused.
+func TestPersistentCacheRejectsStagedAndChaos(t *testing.T) {
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "work")
+	if err := PrepareWorkDir(dir, testEvent(t)); err != nil {
+		t.Fatal(err)
+	}
+	opts := testOptions()
+	opts.Cache = CacheConfig{Mode: CachePersistent}
+	for _, v := range []Variant{SeqOriginal, SeqOptimized, PartialParallel, FullParallel} {
+		_, err := Run(ctx, dir, v, opts)
+		if !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), "CachePersistent with variant "+v.String()) {
+			t.Errorf("Run(%v, CachePersistent) = %v, want ErrUnsupported naming the pair", v, err)
+		}
+		if _, err := RunBatch(ctx, []string{dir}, v, opts); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("RunBatch(%v, CachePersistent) = %v, want ErrUnsupported", v, err)
+		}
+	}
+	opts.Chaos = &faults.Config{Seed: 1, Rate: 0.5}
+	_, err := Run(ctx, dir, Pipelined, opts)
+	if !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), "CachePersistent with Chaos") {
+		t.Errorf("Run(CachePersistent+Chaos) = %v, want ErrUnsupported naming the pair", err)
+	}
+	if _, err := RunBatch(ctx, []string{dir}, Pipelined, opts); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("RunBatch(CachePersistent+Chaos) = %v, want ErrUnsupported", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, CacheDirName)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("rejected runs touched the work directory: %v", err)
 	}
 }

@@ -183,25 +183,21 @@ func (s *state) filterSignal(dir string, key smformat.SignalKey, spec dsp.BandPa
 	return pk, s.writeV2(filepath.Join(dir, smformat.V2FileName(key.Station, key.Component)), v2)
 }
 
-// filterRecord corrects one record's three components inside dir — the
-// work directory, or a temp-folder job's scratch folder — with the corners
-// of dir's filter-params file, and returns the record's max-values
-// fragment: the per-record unit of processes #4 and #13.
-func (s *state) filterRecord(dir, st string) (smformat.MaxValues, error) {
+// filterRecord corrects one record's three components inside a temp-folder
+// job's scratch folder dir with the corners of dir's filter-params file,
+// leaving their peaks in peaks: the program a filter job runs.
+func (s *state) filterRecord(dir, st string, peaks []seismic.PeakValues) error {
 	params, err := s.readFilterParams(filepath.Join(dir, smformat.FilterParamsFile))
 	if err != nil {
-		return smformat.MaxValues{}, err
+		return err
 	}
-	frag := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
-	for _, comp := range seismic.Components {
+	for ci, comp := range seismic.Components {
 		key := smformat.SignalKey{Station: st, Component: comp}
-		pk, err := s.filterSignal(dir, key, params.Spec(key))
-		if err != nil {
-			return smformat.MaxValues{}, err
+		if peaks[ci], err = s.filterSignal(dir, key, params.Spec(key)); err != nil {
+			return err
 		}
-		frag.Peaks[key] = pk
 	}
-	return frag, nil
+	return nil
 }
 
 // procInitMetadata is process #5 (and #14): derive the acc-graph, fourier,

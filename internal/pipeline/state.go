@@ -54,9 +54,9 @@ type state struct {
 	// method is nil-safe, so no call site checks.
 	arts *artifact.Store
 	// acache is the persistent content-addressed action cache (CacheMode
-	// CachePersistent only; see actioncache.go for the pipeline's digest
-	// scheme).  Nil otherwise, and nil under chaos: fault injection must
-	// exercise the real staging protocol, not cached restores of it.
+	// CachePersistent only, which Options.Validate admits for Pipelined
+	// runs without chaos; see actioncache.go for the pipeline's digest
+	// scheme).  Nil otherwise.
 	acache *artifact.ActionCache
 
 	// Write-ahead run journal (see journal.go).  journal is nil when
@@ -160,9 +160,7 @@ func newState(ctx context.Context, dir string, opts Options) (*state, error) {
 	}
 	if cc := s.opts.Cache; cc.Mode != CacheOff {
 		s.arts = artifact.NewMemo(ws.Generation)
-		// The action cache is bypassed under chaos: fault injection must
-		// exercise the real staging protocol.
-		if cc.Mode == CachePersistent && s.chaos == nil {
+		if cc.Mode == CachePersistent {
 			root := cc.Dir
 			if root == "" {
 				root = filepath.Join(dir, CacheDirName)

@@ -2,22 +2,32 @@ package pipeline
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
 	"accelproc/internal/dataflow"
 	"accelproc/internal/dsp"
+	"accelproc/internal/fourier"
 	"accelproc/internal/obs"
 	"accelproc/internal/parallel"
 	"accelproc/internal/seismic"
 	"accelproc/internal/simsched"
 	"accelproc/internal/smformat"
+	"accelproc/internal/stream"
 )
 
-// This file compiles staged plans onto the dataflow executor, the one
-// engine every variant runs on.  A plan step is a stage's processes and the
-// strategy that runs them (paper Fig. 9); the step compiler turns it into
-// layers of nodes of one dataflow.Graph:
+// This file compiles plans onto the dataflow executor, the one engine every
+// variant runs on.  Every compile draws on one body table, phases: a
+// process's rounds of units, each unit a station's, a signal's or a file's
+// work, or an event-global body.  The staged plans lay the rounds out as
+// barrier-closed layers (below); Pipelined groups each record's units into
+// one node and the event-global rounds into global and join nodes
+// (dataflowrun.go).  One wrapper, addNode, runs every node of both.
+//
+// A plan step is a stage's processes and the strategy that runs them
+// (paper Fig. 9); the step compiler turns it into layers of nodes of one
+// dataflow.Graph:
 //
 //   - a process contributes one node per unit its loop iterates: the
 //     station (#3, and the temp-folder jobs of #4, #7 and #13), the signal
@@ -123,7 +133,8 @@ type unit struct {
 	run     func() error
 }
 
-// phase is one barrier-separated round of a process's units.
+// phase is one round of a process's units: a barrier-closed layer of a
+// staged plan, a slice of each of Pipelined's record nodes.
 type phase struct {
 	task   string  // task span under the process span, "" for none
 	serial bool    // the units run one after another whatever the step's width
@@ -158,20 +169,52 @@ type layer struct {
 	span  *obs.Span
 }
 
-// stepGraph is a list of plan steps compiled onto one dataflow graph.
+// stepGraph is a plan compiled onto one dataflow graph: a staged plan's
+// steps as barrier-closed layers, or Pipelined's processes as record nodes
+// (dataflowrun.go).
 type stepGraph struct {
 	s        *state
 	g        *dataflow.Graph
 	stations []string
 	exe      string
-	layers   []*layer
-	cur      int             // the open layer
 	durs     []time.Duration // measured cost per node ID
+	pids     []ProcessID     // the process of each node ID
 	ends     []bool          // whether a node ends its unit, per node ID
-	barrier  dataflow.NodeID // the last barrier added, -1 before the first
-	end      time.Duration   // when the last barrier ran
 	scratch  []string        // temp-folder scratch dirs, removed if the run fails
-	mon      *slotMonitor    // the pool's worker accounting; nil without an observer
+
+	// The state record units leave for their process's event-global
+	// merge, by signal index (three per station): the filters' peaks and
+	// #10's picked corners.  The side channel (actioncache.go) encodes and
+	// restores one record's share of it.
+	peaks map[ProcessID][]seismic.PeakValues
+	specs []dsp.BandPassSpec
+
+	// The staged compile's layers.
+	layers  []*layer
+	cur     int             // the open layer
+	barrier dataflow.NodeID // the last barrier added, -1 before the first
+	end     time.Duration   // when the last barrier ran
+	mon     *slotMonitor    // the pool's worker accounting; nil without an observer
+
+	// The Pipelined compile's nodes by process, and the record weights
+	// its scheduler starts the heaviest records by.
+	weights []float64
+	procs   map[ProcessID]*dfProc
+
+	// Streaming execution plane (Options.Streaming; see streamrun.go): the
+	// run's shared chunk pool, the gather pool of the blocking consumers,
+	// one stream per (producer process, record) stream edge, and the
+	// per-record scratch dirs holding stream spills.
+	pool       *stream.Pool
+	gatherPool *fourier.GatherPool
+	streams    map[ProcessID][]*stream.Stream
+	spillDirs  []string
+}
+
+// newStepGraph returns an empty graph over stations.
+func (s *state) newStepGraph(stations []string) *stepGraph {
+	return &stepGraph{s: s, g: dataflow.New(), stations: stations, barrier: -1,
+		peaks: map[ProcessID][]seismic.PeakValues{}}
 }
 
 // slotMonitor passes the pool's worker accounting on to the run's worker
@@ -203,7 +246,7 @@ func (m *slotMonitor) WorkerSpan(worker int, busy, idle time.Duration, tasks int
 
 // compileSteps builds the graph of the given steps over stations.
 func (s *state) compileSteps(steps []planStep, stations []string) (*stepGraph, error) {
-	c := &stepGraph{s: s, g: dataflow.New(), stations: stations, barrier: -1}
+	c := s.newStepGraph(stations)
 	for _, st := range steps {
 		if st.strat == StratTempFolder && !s.opts.NoTempFolders && c.exe == "" {
 			exe, err := s.ensureExeImage()
@@ -231,7 +274,7 @@ func (c *stepGraph) addStep(st planStep) {
 		for k, pid := range st.procs {
 			for _, ph := range c.phases(pid, st.strat) {
 				for _, u := range ph.units {
-					chain = c.addNode(l, k, u, chain)
+					chain = c.chainNode(l, k, u, chain)
 				}
 			}
 			if st.strat == StratTask {
@@ -258,7 +301,7 @@ func (c *stepGraph) addStep(st planStep) {
 			}
 			var chain []dataflow.NodeID
 			for _, u := range ph.units {
-				chain = c.addNode(l, k, u, chain)
+				chain = c.chainNode(l, k, u, chain)
 				if !ph.serial {
 					c.addUnit(l, chain)
 					chain = nil
@@ -278,24 +321,57 @@ func (c *stepGraph) addUnit(l *layer, chain []dataflow.NodeID) {
 	}
 }
 
-// addNode appends the node of unit u of the step's k-th process to chain
+// chainNode appends the node of unit u of the step's k-th process to chain
 // (nil starts a new unit, after the last barrier) and returns the extended
-// chain.  The body is wrapped with the width bound, the cancellation check,
-// the quarantine skip, cost measurement, and the fail-fast cancellation of
-// the run on a failure graceful degradation could not absorb.
-func (c *stepGraph) addNode(l *layer, k int, u unit, chain []dataflow.NodeID) []dataflow.NodeID {
-	s := c.s
+// chain.
+func (c *stepGraph) chainNode(l *layer, k int, u unit, chain []dataflow.NodeID) []dataflow.NodeID {
 	pid := l.step.step.procs[k]
+	label := Processes[pid].Name
+	if u.station != "" {
+		label += ":" + u.station
+	}
+	var deps []dataflow.NodeID
+	if len(chain) > 0 {
+		deps = append(deps, chain[len(chain)-1])
+	} else if c.barrier >= 0 {
+		deps = append(deps, c.barrier)
+	}
+	id := c.addNode(node{pid: pid, label: label, units: []unit{u}, layer: l, first: len(chain) == 0}, deps, nil)
+	l.step.procs[k].nodes = append(l.step.procs[k].nodes, id)
+	return append(chain, id)
+}
+
+// node is what addNode wraps into one dataflow node: units of process pid,
+// run in order.  The staged compile sets layer, whose width slot the node
+// holds (taking it when first in its unit's chain); the Pipelined compile
+// sets df.
+type node struct {
+	pid   ProcessID
+	label string
+	units []unit
+	layer *layer
+	first bool
+	df    *dfNode
+}
+
+// addNode adds one node after deps, and after the dispatch of the stream
+// producers sdeps (streaming runs only), and returns its ID.  The body is
+// wrapped with the width slot, the cancellation check, the quarantine skip
+// per unit, cost measurement, and the fail-fast cancellation of the run on
+// a failure graceful degradation could not absorb.  A Pipelined node also
+// gets its node: span and, as a per-(process, record) node, the record
+// rules of openNode and closeNode.
+func (c *stepGraph) addNode(n node, deps, sdeps []dataflow.NodeID) dataflow.NodeID {
+	s := c.s
 	id := dataflow.NodeID(c.g.Len())
 	c.durs = append(c.durs, 0)
+	c.pids = append(c.pids, n.pid)
 	c.ends = append(c.ends, false)
-	l.step.procs[k].nodes = append(l.step.procs[k].nodes, id)
-	first := len(chain) == 0
 	run := func() (err error) {
 		// A unit holds its slot of the layer's width from its chain's first
 		// node to its last (or to the node that fails: the rest are skipped).
-		if l.sem != nil {
-			if first {
+		if l := n.layer; l != nil && l.sem != nil {
+			if n.first {
 				t := time.Now()
 				l.sem <- struct{}{}
 				c.mon.held(time.Since(t))
@@ -306,35 +382,73 @@ func (c *stepGraph) addNode(l *layer, k int, u unit, chain []dataflow.NodeID) []
 				}
 			}()
 		}
+		if df := n.df; df != nil && df.station != "" && s.isQuarantined(df.station) {
+			return nil
+		}
 		if err := s.cancelled(); err != nil {
 			return err
 		}
 		t0 := s.now()
-		if u.station == "" || !s.isQuarantined(u.station) {
-			err = u.run()
+		sp, done := c.openNode(id, n, t0)
+		if done {
+			return nil
 		}
-		c.durs[id] = s.now() - t0
+		for k, u := range n.units {
+			if u.station != "" && s.isQuarantined(u.station) {
+				continue
+			}
+			if k > 0 {
+				if err = s.cancelled(); err != nil {
+					break
+				}
+			}
+			if err = u.run(); err != nil {
+				break
+			}
+		}
+		d := s.now() - t0
+		c.durs[id] = d
 		if err != nil {
+			sp.EndCharged(d, obs.String("error", err.Error()))
 			if classify(err) != ErrKindCanceled {
 				s.fail(err)
 			}
-			return fmt.Errorf("pipeline: process #%d (%s): %w", pid, Processes[pid].Name, err)
+			return fmt.Errorf("pipeline: process #%d (%s): %w", n.pid, Processes[n.pid].Name, err)
 		}
+		c.closeNode(sp, n)
+		sp.EndCharged(d)
 		return nil
 	}
-	label := Processes[pid].Name
-	if u.station != "" {
-		label += ":" + u.station
+	spec := dataflow.Spec{Label: n.label, Run: run}
+	if df := n.df; df != nil {
+		spec.Alpha = s.opts.ContentionIO
+		if Processes[n.pid].Cost == CostHeavyFLOPS {
+			spec.Alpha = s.opts.ContentionCPU
+		}
+		if df.station != "" {
+			spec.Weight = c.weights[df.i]
+		}
+		spec.Run = c.closingStream(n.pid, df, run)
 	}
-	dep := c.barrier
-	if !first {
-		dep = chain[len(chain)-1]
+	if len(sdeps) > 0 {
+		return c.g.AddStream(spec, dedupNodes(sdeps), dedupNodes(deps)...)
 	}
-	var deps []dataflow.NodeID
-	if dep >= 0 {
-		deps = append(deps, dep)
+	return c.g.Add(spec, dedupNodes(deps)...)
+}
+
+// dedupNodes sorts and deduplicates a dependency list in place.
+func dedupNodes(deps []dataflow.NodeID) []dataflow.NodeID {
+	if len(deps) < 2 {
+		return deps
 	}
-	return append(chain, c.g.Add(dataflow.Spec{Label: label, Run: run}, deps...))
+	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
+	out := deps[:1]
+	for _, d := range deps[1:] {
+		if d != out[len(out)-1] {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // closeLayer adds the barrier that closes l.
@@ -349,6 +463,7 @@ func (c *stepGraph) closeLayer(l *layer) {
 	i := len(c.layers)
 	c.layers = append(c.layers, l)
 	c.durs = append(c.durs, 0)
+	c.pids = append(c.pids, 0)
 	c.ends = append(c.ends, false)
 	c.barrier = c.g.Add(dataflow.Spec{Label: "barrier", Run: func() error {
 		c.endLayer(i)
@@ -479,7 +594,9 @@ func (c *stepGraph) abort(err error) {
 	sr.span.EndCharged(d, e)
 }
 
-// phases returns process pid's rounds of work under strategy strat.
+// phases returns process pid's rounds of work under strategy strat: the
+// body table both compiles draw on.  A round of units with a station is
+// per-record work; a round of one unit without is event-global.
 func (c *stepGraph) phases(pid ProcessID, strat Strategy) []phase {
 	s := c.s
 	if body := s.globalBody(pid); body != nil {
@@ -494,24 +611,43 @@ func (c *stepGraph) phases(pid ProcessID, strat Strategy) []phase {
 		}
 		return []phase{{alpha: alpha, units: units}}
 	}
-	perStation := func(serial bool, body func(string) error) []phase {
-		var units []unit
-		for _, st := range c.stations {
-			units = append(units, unit{st, func() error { return body(st) }})
+	perStation := func(serial bool, body func(i int, st string) error) []phase {
+		units := make([]unit, len(c.stations))
+		for i, st := range c.stations {
+			units[i] = unit{st, func() error { return body(i, st) }}
 		}
 		return []phase{{serial: serial, alpha: io, units: units}}
 	}
+	named := func(body func(string) error) func(int, string) error {
+		return func(_ int, st string) error { return body(st) }
+	}
 	switch pid {
 	case PSeparateComponents, PSeparateComps2:
-		return perStation(false, s.separateStation)
-	case PDefaultFilter, PCorrectedFilter:
-		if tempFolder {
-			return c.tempPhases(pid)
+		if c.streaming() {
+			return perStation(false, c.streamSeparateStation)
 		}
-		return c.filterPhases()
+		return perStation(false, named(s.separateStation))
+	case PDefaultFilter, PCorrectedFilter:
+		peaks := make([]seismic.PeakValues, 3*len(c.stations))
+		c.peaks[pid] = peaks
+		var phases []phase
+		switch {
+		case c.streaming():
+			phases = perStation(false, func(i int, st string) error {
+				return c.streamFilterRecord(pid, i, st, peaks[3*i:3*i+3])
+			})
+		case tempFolder:
+			phases = c.tempPhases(pid, peaks)
+		default:
+			phases = c.filterPhases(peaks)
+		}
+		return append(phases, c.maxValuesPhase(peaks))
 	case PFourier:
-		if tempFolder {
-			return c.tempPhases(pid)
+		switch {
+		case c.streaming():
+			return perStation(false, c.streamFourierRecord)
+		case tempFolder:
+			return c.tempPhases(pid, nil)
 		}
 		return perSignal(io, func(k smformat.SignalKey) error {
 			return s.fourierSignal(s.dir, smformat.V2FileName(k.Station, k.Component))
@@ -519,6 +655,9 @@ func (c *stepGraph) phases(pid ProcessID, strat Strategy) []phase {
 	case PPickCorners:
 		return c.pickPhases()
 	case PResponseSpectrum:
+		if c.streaming() {
+			return perStation(false, c.streamResponseRecord)
+		}
 		return perSignal(cpu, func(k smformat.SignalKey) error {
 			return s.responseSignal(smformat.V2FileName(k.Station, k.Component))
 		})
@@ -532,16 +671,19 @@ func (c *stepGraph) phases(pid ProcessID, strat Strategy) []phase {
 		}
 		return []phase{{alpha: io, units: units}}
 	case PPlotUncorrected:
-		return perStation(true, s.plotUncorrectedStation)
+		return perStation(true, named(s.plotUncorrectedStation))
 	case PPlotFourier:
-		return perStation(true, s.plotFourierStation)
+		return perStation(true, named(s.plotFourierStation))
 	case PPlotAccel:
-		return perStation(true, s.plotAccelStation)
+		return perStation(true, named(s.plotAccelStation))
 	case PPlotResponse:
-		return perStation(true, s.plotResponseStation)
+		return perStation(true, named(s.plotResponseStation))
 	}
 	panic(fmt.Sprintf("pipeline: no body for process #%d", pid))
 }
+
+// global reports whether ph is an event-global round.
+func (ph phase) global() bool { return len(ph.units) > 0 && ph.units[0].station == "" }
 
 // globalBody returns the body of an event-global process, nil for the
 // processes that iterate over records.
@@ -564,14 +706,13 @@ func (s *state) globalBody(pid ProcessID) func() error {
 }
 
 // filterPhases is the direct body of process #4 (default corners) or #13
-// (per-signal corners from the Fourier analysis): read the corners, filter
-// every component signal into its V2 file, and write the max-values
-// metadata of the surviving records.
-func (c *stepGraph) filterPhases() []phase {
+// (per-signal corners from the Fourier analysis): read the corners, then
+// filter every component signal into its V2 file, leaving its peaks in
+// peaks.
+func (c *stepGraph) filterPhases(peaks []seismic.PeakValues) []phase {
 	s := c.s
 	var params smformat.FilterParams
 	keys := signals(c.stations)
-	peaks := make([]seismic.PeakValues, len(keys))
 	units := make([]unit, len(keys))
 	for i, key := range keys {
 		units[i] = unit{key.Station, func() (err error) {
@@ -583,6 +724,17 @@ func (c *stepGraph) filterPhases() []phase {
 		params, err = s.readFilterParams(s.path(smformat.FilterParamsFile))
 		return err
 	}
+	return []phase{
+		{serial: true, units: []unit{{run: read}}},
+		{alpha: s.opts.ContentionIO, units: units},
+	}
+}
+
+// maxValuesPhase is the merge that ends processes #4 and #13: write the
+// surviving records' peaks as the max-values metadata.
+func (c *stepGraph) maxValuesPhase(peaks []seismic.PeakValues) phase {
+	s := c.s
+	keys := signals(c.stations)
 	write := func() error {
 		merged := smformat.MaxValues{Peaks: make(map[smformat.SignalKey]seismic.PeakValues, len(keys))}
 		for i, key := range keys {
@@ -592,11 +744,7 @@ func (c *stepGraph) filterPhases() []phase {
 		}
 		return smformat.WriteMaxValuesFileFS(s.ws, s.path(smformat.MaxValuesFile), merged)
 	}
-	return []phase{
-		{serial: true, units: []unit{{run: read}}},
-		{alpha: s.opts.ContentionIO, units: units},
-		{serial: true, units: []unit{{run: write}}},
-	}
+	return phase{serial: true, units: []unit{{run: write}}}
 }
 
 // pickPhases is process #10: pick FPL/FSL per component signal from its
@@ -606,11 +754,11 @@ func (c *stepGraph) filterPhases() []phase {
 func (c *stepGraph) pickPhases() []phase {
 	s := c.s
 	keys := signals(c.stations)
-	specs := make([]dsp.BandPassSpec, len(keys))
+	c.specs = make([]dsp.BandPassSpec, len(keys))
 	units := make([]unit, len(keys))
 	for i, key := range keys {
 		units[i] = unit{key.Station, func() (err error) {
-			specs[i], err = s.pickSignalSpec(key.Station, key.Component)
+			c.specs[i], err = s.pickSignalSpec(key.Station, key.Component)
 			return err
 		}}
 	}
@@ -621,7 +769,7 @@ func (c *stepGraph) pickPhases() []phase {
 		}
 		for i, key := range keys {
 			if !s.isQuarantined(key.Station) {
-				params.PerSignal[key] = specs[i]
+				params.PerSignal[key] = c.specs[i]
 			}
 		}
 		return s.writeFilterParams(s.path(smformat.FilterParamsFile), params)
@@ -635,12 +783,16 @@ func (c *stepGraph) pickPhases() []phase {
 // tempPhases is the temp-folder protocol of process #4, #7 or #13 (the
 // paper's ParallelizeCorrection and ParallelizeFourier): one job per
 // station, each protocol step a round over the jobs reported as a task
-// span, and for the filters the merge of the records' max-values fragments.
-func (c *stepGraph) tempPhases(pid ProcessID) []phase {
+// span.  A filter job leaves its record's peaks in peaks.
+func (c *stepGraph) tempPhases(pid ProcessID, peaks []seismic.PeakValues) []phase {
 	s := c.s
 	jobs := make([]*tempJob, len(c.stations))
 	for i, st := range c.stations {
-		jobs[i] = s.newTempJob(pid, i, st, c.exe)
+		var pk []seismic.PeakValues
+		if peaks != nil {
+			pk = peaks[3*i : 3*i+3]
+		}
+		jobs[i] = s.newTempJob(pid, i, st, c.exe, pk)
 		c.scratch = append(c.scratch, jobs[i].rc.scratch)
 	}
 	var phases []phase
@@ -654,17 +806,5 @@ func (c *stepGraph) tempPhases(pid ProcessID) []phase {
 		}
 		phases = append(phases, ph)
 	}
-	if pid == PFourier {
-		return phases
-	}
-	merge := func() error {
-		frags := make([]smformat.MaxValues, len(jobs))
-		for i, j := range jobs {
-			if !s.isQuarantined(j.rc.station) {
-				frags[i] = j.peaks
-			}
-		}
-		return s.writeMergedMaxValues(frags)
-	}
-	return append(phases, phase{serial: true, units: []unit{{run: merge}}})
+	return phases
 }

@@ -41,10 +41,10 @@ import (
 // always.
 //
 // Fallback discipline: a stream is closed with stream.ErrFallback whenever
-// its producer did not stream (resume skip or quarantine skip) — the node
-// wrapper in dataflowrun.go does this after the body returns, which is after
-// the durable outputs landed, so a consumer that sees ErrFallback can always
-// read the artifacts instead.
+// its producer did not stream (resume skip or quarantine skip) —
+// dataflowrun.go's closingStream does this after the node returns, which is
+// after the durable outputs landed, so a consumer that sees ErrFallback can
+// always read the artifacts instead.
 
 // streamHeader is the record metadata a streamed producer publishes before
 // its chunks: enough for the consumer to size and time its own processing.
@@ -72,32 +72,32 @@ var streamEdgeTag = map[ProcessID]string{
 
 // streamBase is the per-record scratch directory holding stream spills.  The
 // tmp_ prefix keeps it inside the resume plane's stale-scratch sweep.
-func (b *dfBuild) streamBase(i int, st string) string {
-	return b.s.path(fmt.Sprintf("tmp_stream_%02d_%s", i, st))
+func (c *stepGraph) streamBase(i int, st string) string {
+	return c.s.path(fmt.Sprintf("tmp_stream_%02d_%s", i, st))
 }
 
 // setupStreams allocates the run's chunk pools, one stream per (producer,
 // record) stream edge, and the per-record scratch directories.
-func (b *dfBuild) setupStreams() error {
-	s := b.s
-	b.pool = stream.NewPool(stream.DefaultChunkLen)
-	b.gatherPool = fourier.NewGatherPool(stream.DefaultChunkLen)
-	b.streams = map[ProcessID][]*stream.Stream{}
+func (c *stepGraph) setupStreams() error {
+	s := c.s
+	c.pool = stream.NewPool(stream.DefaultChunkLen)
+	c.gatherPool = fourier.NewGatherPool(stream.DefaultChunkLen)
+	c.streams = map[ProcessID][]*stream.Stream{}
 	for pid := range streamEdgeTag {
-		b.streams[pid] = make([]*stream.Stream, len(b.stations))
+		c.streams[pid] = make([]*stream.Stream, len(c.stations))
 	}
-	for i, st := range b.stations {
-		base := b.streamBase(i, st)
+	for i, st := range c.stations {
+		base := c.streamBase(i, st)
 		if err := s.ws.MkdirAll(base, 0o755); err != nil {
 			return err
 		}
-		b.spillDirs = append(b.spillDirs, base)
+		c.spillDirs = append(c.spillDirs, base)
 		for pid, tag := range streamEdgeTag {
 			dir := filepath.Join(base, tag)
 			if err := s.ws.MkdirAll(dir, 0o755); err != nil {
 				return err
 			}
-			b.streams[pid][i] = stream.New(s.ws, dir, stream.DefaultWindow, b.pool)
+			c.streams[pid][i] = stream.New(s.ws, dir, stream.DefaultWindow, c.pool)
 		}
 	}
 	return nil
@@ -108,11 +108,11 @@ func (b *dfBuild) setupStreams() error {
 // scratch directories.  Idempotent; a no-op for non-streaming builds.  The
 // ErrFallback close is first-reason-wins, so streams that already ended keep
 // their original close reason.
-func (b *dfBuild) teardownStreams() {
-	if b.streams == nil {
+func (c *stepGraph) teardownStreams() {
+	if c.streams == nil {
 		return
 	}
-	for _, ss := range b.streams {
+	for _, ss := range c.streams {
 		for _, st := range ss {
 			if st == nil {
 				continue
@@ -121,34 +121,38 @@ func (b *dfBuild) teardownStreams() {
 			_ = st.Drain(func(*stream.Chunk) error { return nil })
 		}
 	}
-	if !b.s.opts.KeepTempDirs {
-		for _, dir := range b.spillDirs {
-			_ = b.s.ws.RemoveAll(dir)
+	if !c.s.opts.KeepTempDirs {
+		for _, dir := range c.spillDirs {
+			_ = c.s.ws.RemoveAll(dir)
 		}
 	}
-	b.streams = nil
-	b.spillDirs = nil
+	c.streams = nil
+	c.spillDirs = nil
 }
 
-// outStream returns the stream a per-record node produces into, or nil.
-func (b *dfBuild) outStream(pid ProcessID, station string) *stream.Stream {
-	if b.streams == nil || station == "" {
+// streaming reports whether this graph runs the streaming execution plane.
+func (c *stepGraph) streaming() bool { return c.streams != nil }
+
+// outStream returns the stream a Pipelined record node produces into, or
+// nil.
+func (c *stepGraph) outStream(pid ProcessID, df *dfNode) *stream.Stream {
+	if c.streams == nil || df.station == "" {
 		return nil
 	}
-	ss, ok := b.streams[pid]
+	ss, ok := c.streams[pid]
 	if !ok {
 		return nil
 	}
-	return ss[b.stationIndex(station)]
+	return ss[df.i]
 }
 
 // inStream returns the stream a consumer node receives from, or nil.
-func (b *dfBuild) inStream(pid ProcessID, i int) *stream.Stream {
+func (c *stepGraph) inStream(pid ProcessID, i int) *stream.Stream {
 	from, ok := streamProducerOf[pid]
-	if !ok || b.streams == nil {
+	if !ok || c.streams == nil {
 		return nil
 	}
-	return b.streams[from][i]
+	return c.streams[from][i]
 }
 
 // fallbackClose reports whether a Header/Recv error means "read the durable
@@ -182,9 +186,9 @@ func abortCreate(w io.WriteCloser) {
 // There is no retryOp around the open: a half-streamed node cannot be
 // retried, so transient open failures also condemn the record (at attempt 1)
 // rather than risk replaying chunks downstream.
-func (b *dfBuild) streamSeparateStation(i int, st string) error {
-	s := b.s
-	out := b.streams[PSeparateComponents][i]
+func (c *stepGraph) streamSeparateStation(i int, st string) error {
+	s := c.s
+	out := c.streams[PSeparateComponents][i]
 	name, err := s.inputFileOf(st)
 	if err != nil {
 		return err
@@ -210,24 +214,24 @@ func (b *dfBuild) streamSeparateStation(i int, st string) error {
 			return err
 		}
 		for {
-			c := b.pool.Get(ci)
-			buf := c.Data[:cap(c.Data)]
+			ch := c.pool.Get(ci)
+			buf := ch.Data[:cap(ch.Data)]
 			n, rerr := r.Read(buf)
 			if n > 0 {
-				c.Data = buf[:n]
+				ch.Data = buf[:n]
 				// Append copies into the writer's buffer before Send hands
 				// the chunk's ownership to the stream.
-				if err := w.Append(c.Data); err != nil {
-					c.Release()
+				if err := w.Append(ch.Data); err != nil {
+					ch.Release()
 					w.Abort()
 					return err
 				}
-				if err := out.Send(c); err != nil {
+				if err := out.Send(ch); err != nil {
 					w.Abort()
 					return err
 				}
 			} else {
-				c.Release()
+				ch.Release()
 			}
 			if rerr == io.EOF {
 				break
@@ -251,15 +255,16 @@ func (b *dfBuild) streamSeparateStation(i int, st string) error {
 // per-component V1 otherwise (always, for #13) — runs the shared
 // correctSignal, sends the corrected acceleration downstream in pooled
 // chunks so the gather consumer starts before the V2 lands, and then writes
-// the V2 through Create.
-func (b *dfBuild) streamFilterRecord(pid ProcessID, i int, st string) (smformat.MaxValues, error) {
-	s := b.s
+// the V2 through Create.  The record's peaks land in peaks, one per
+// component.
+func (c *stepGraph) streamFilterRecord(pid ProcessID, i int, st string, peaks []seismic.PeakValues) error {
+	s := c.s
 	params, err := s.readFilterParams(s.path(smformat.FilterParamsFile))
 	if err != nil {
-		return smformat.MaxValues{}, err
+		return err
 	}
-	out := b.streams[pid][i]
-	in := b.inStream(pid, i)
+	out := c.streams[pid][i]
+	in := c.inStream(pid, i)
 	var hdr streamHeader
 	if in != nil {
 		h, herr := in.Header()
@@ -267,7 +272,7 @@ func (b *dfBuild) streamFilterRecord(pid ProcessID, i int, st string) (smformat.
 		case herr == nil:
 			var ok bool
 			if hdr, ok = h.(streamHeader); !ok {
-				return smformat.MaxValues{}, fmt.Errorf("pipeline: stream for %s carries %T, want header", st, h)
+				return fmt.Errorf("pipeline: stream for %s carries %T, want header", st, h)
 			}
 		case fallbackClose(herr):
 			// The producer did not stream; its per-component files are
@@ -275,22 +280,21 @@ func (b *dfBuild) streamFilterRecord(pid ProcessID, i int, st string) (smformat.
 			// already blocked on the header (the decode node quarantines
 			// before its wrapper closes the stream, so the flag is visible
 			// here): then there are no durable files and the record simply
-			// yields no fragment.
+			// yields no peaks.
 			if s.isQuarantined(st) {
-				return smformat.MaxValues{}, nil
+				return nil
 			}
 			in = nil
 		default:
-			return smformat.MaxValues{}, herr
+			return herr
 		}
 	}
-	frag := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
 	for ci, comp := range seismic.Components {
 		key := smformat.SignalKey{Station: st, Component: comp}
 		var v1 smformat.V1Component
 		var g *fourier.GatherBuffer
 		if in != nil {
-			g = b.gatherPool.Get()
+			g = c.gatherPool.Get()
 			err = recvComponent(in, st, ci, hdr.NPTS, g)
 			v1 = smformat.V1Component{Station: st, Component: comp, DT: hdr.DT, Accel: g.Data}
 		} else {
@@ -309,34 +313,34 @@ func (b *dfBuild) streamFilterRecord(pid ProcessID, i int, st string) (smformat.
 			g.Release()
 		}
 		if err != nil {
-			return smformat.MaxValues{}, err
+			return err
 		}
 		if ci == 0 {
 			out.SetHeader(streamHeader{Station: st, DT: v2.DT, NPTS: len(v2.Accel)})
 		}
-		if err := b.sendSamples(out, ci, v2.Accel); err != nil {
-			return smformat.MaxValues{}, err
+		if err := c.sendSamples(out, ci, v2.Accel); err != nil {
+			return err
 		}
 		// Upstream chunks consumed and corrected chunks sent, durable output
 		// not yet committed: the crash matrix kills here to prove resume
 		// re-executes the node instead of trusting a half-written artifact.
 		faults.Crash(faults.CrashStreamNode)
 		if err := smformat.WriteFileCreateFS(s.ws, s.path(smformat.V2FileName(st, comp)), v2); err != nil {
-			return smformat.MaxValues{}, err
+			return err
 		}
-		frag.Peaks[key] = pk
+		peaks[ci] = pk
 	}
 	out.Close(nil)
-	return frag, nil
+	return nil
 }
 
 // sendSamples sends xs down out as component ci's pooled chunks.
-func (b *dfBuild) sendSamples(out *stream.Stream, ci int, xs []float64) error {
+func (c *stepGraph) sendSamples(out *stream.Stream, ci int, xs []float64) error {
 	for len(xs) > 0 {
-		c := b.pool.Get(ci)
-		n := copy(c.Data[:cap(c.Data)], xs)
-		c.Data = c.Data[:n]
-		if err := out.Send(c); err != nil {
+		ch := c.pool.Get(ci)
+		n := copy(ch.Data[:cap(ch.Data)], xs)
+		ch.Data = ch.Data[:n]
+		if err := out.Send(ch); err != nil {
 			return err
 		}
 		xs = xs[n:]
@@ -368,25 +372,25 @@ func recvComponent(in *stream.Stream, st string, ci, npts int, g *fourier.Gather
 // streamFourierRecord is the streamed body of one record of process #7: a
 // gather consumer — the FFT needs the whole trace — fed by the default
 // filter's acceleration chunks.
-func (b *dfBuild) streamFourierRecord(i int, st string) error {
-	return b.gatherRecord(PFourier, i, st, func(v2 smformat.V2) error {
+func (c *stepGraph) streamFourierRecord(i int, st string) error {
+	return c.gatherRecord(PFourier, i, st, func(v2 smformat.V2) error {
 		f, err := fourier.Spectra(v2)
 		if err != nil {
 			return err
 		}
-		return smformat.WriteFileCreateFS(b.s.ws, b.s.path(smformat.FourierFileName(v2.Station, v2.Component)), f)
+		return smformat.WriteFileCreateFS(c.s.ws, c.s.path(smformat.FourierFileName(v2.Station, v2.Component)), f)
 	})
 }
 
 // streamResponseRecord is the streamed body of one record of process #16,
 // gathering the definitive filter's acceleration chunks.
-func (b *dfBuild) streamResponseRecord(i int, st string) error {
-	return b.gatherRecord(PResponseSpectrum, i, st, func(v2 smformat.V2) error {
-		r, err := response.Spectrum(v2, b.s.opts.Response)
+func (c *stepGraph) streamResponseRecord(i int, st string) error {
+	return c.gatherRecord(PResponseSpectrum, i, st, func(v2 smformat.V2) error {
+		r, err := response.Spectrum(v2, c.s.opts.Response)
 		if err != nil {
 			return err
 		}
-		return smformat.WriteFileCreateFS(b.s.ws, b.s.path(smformat.ResponseFileName(v2.Station, v2.Component)), r)
+		return smformat.WriteFileCreateFS(c.s.ws, c.s.path(smformat.ResponseFileName(v2.Station, v2.Component)), r)
 	})
 }
 
@@ -395,11 +399,11 @@ func (b *dfBuild) streamResponseRecord(i int, st string) error {
 // displacement re-derived by the same trapezoidal integration the producer
 // used — bit-identical), and emits the derived product.  A fallback close at
 // any point degrades to reading the durable V2 files.
-func (b *dfBuild) gatherRecord(pid ProcessID, i int, st string, emit func(smformat.V2) error) error {
-	in := b.inStream(pid, i)
+func (c *stepGraph) gatherRecord(pid ProcessID, i int, st string, emit func(smformat.V2) error) error {
+	in := c.inStream(pid, i)
 	h, err := in.Header()
 	if fallbackClose(err) {
-		return b.gatherFromDurable(st, emit)
+		return c.gatherFromDurable(st, emit)
 	}
 	if err != nil {
 		return err
@@ -408,13 +412,13 @@ func (b *dfBuild) gatherRecord(pid ProcessID, i int, st string, emit func(smform
 	if !ok {
 		return fmt.Errorf("pipeline: stream for %s carries %T, want header", st, h)
 	}
-	g := b.gatherPool.Get()
+	g := c.gatherPool.Get()
 	defer g.Release()
 	for ci, comp := range seismic.Components {
 		g.Data = g.Data[:0]
 		if err := recvComponent(in, st, ci, hdr.NPTS, g); err != nil {
 			if errors.Is(err, stream.ErrFallback) {
-				return b.gatherFromDurable(st, emit)
+				return c.gatherFromDurable(st, emit)
 			}
 			return err
 		}
@@ -434,12 +438,12 @@ func (b *dfBuild) gatherRecord(pid ProcessID, i int, st string, emit func(smform
 // read them whole as the materialized path does.  A record condemned while
 // this consumer was already blocked on its stream has no durable files —
 // and nothing downstream to feed — so it emits nothing.
-func (b *dfBuild) gatherFromDurable(st string, emit func(smformat.V2) error) error {
-	if b.s.isQuarantined(st) {
+func (c *stepGraph) gatherFromDurable(st string, emit func(smformat.V2) error) error {
+	if c.s.isQuarantined(st) {
 		return nil
 	}
 	for _, comp := range seismic.Components {
-		v2, err := b.s.readV2(b.s.path(smformat.V2FileName(st, comp)))
+		v2, err := c.s.readV2(c.s.path(smformat.V2FileName(st, comp)))
 		if err != nil {
 			return err
 		}

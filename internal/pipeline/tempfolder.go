@@ -28,13 +28,13 @@ import (
 //     (and the inputs later stages reuse) back to the work directory;
 //  4. cleanup: delete the scratch folder.
 //
-// Processes #4, #7 and #13 all run it.  FullParallel runs each step over
-// every record as one barrier-closed layer of its graph (steps.go's
-// tempPhases) — the install step as a *chained* layer, as the paper runs it
-// sequentially "to avoid races" on the single executable image — and
-// reports one task span per step.  Pipelined runs one record's four steps
-// back to back as a dataflow node (runTempJob), so no record waits at a
-// step barrier for its siblings.
+// Processes #4, #7 and #13 all run it, as the rounds of steps.go's
+// tempPhases.  FullParallel runs each step over every record as one
+// barrier-closed layer of its graph — the install step as a *chained*
+// layer, as the paper runs it sequentially "to avoid races" on the single
+// executable image — and reports one task span per step.  Pipelined runs
+// one record's four steps back to back as one dataflow node, so no record
+// waits at a step barrier for its siblings.
 //
 // The "executable" is a simulated binary image: the Go implementations
 // stand in for the Fortran programs, but the staging I/O — the real cost
@@ -171,8 +171,6 @@ type tempJob struct {
 	moveIn  []string // the record's input files
 	moveOut []string // the products, and the inputs later stages reuse
 	exec    func(dir string) error
-	// peaks is the record's max-values fragment (processes #4 and #13).
-	peaks smformat.MaxValues
 }
 
 // tempTags are the fault injector's stage tags of the temp-folder processes.
@@ -181,11 +179,11 @@ var tempTags = map[ProcessID]string{PDefaultFilter: "def", PFourier: "fou", PCor
 // newTempJob builds the job of temp-folder process pid for station st, the
 // idx-th surviving record.  The filter programs (#4, #13) take a copy of
 // the parameter file and the three V1 components, and return the V2
-// products; the Fourier program (#7) takes the three V2 files and returns
-// the F products.  The inputs move back out with the products: the chain
-// never modifies them — the rationale for dropping process #12 — and later
-// stages reuse them.
-func (s *state) newTempJob(pid ProcessID, idx int, st, exe string) *tempJob {
+// products, leaving the record's peaks in peaks; the Fourier program (#7)
+// takes the three V2 files and returns the F products.  The inputs move
+// back out with the products: the chain never modifies them — the
+// rationale for dropping process #12 — and later stages reuse them.
+func (s *state) newTempJob(pid ProcessID, idx int, st, exe string, peaks []seismic.PeakValues) *tempJob {
 	tag := tempTags[pid]
 	dir := s.path(fmt.Sprintf("tmp_%s_%02d_%s", tag, idx, st))
 	j := &tempJob{
@@ -207,10 +205,7 @@ func (s *state) newTempJob(pid ProcessID, idx int, st, exe string) *tempJob {
 		j.exec = func(dir string) error { return s.fourierRecord(dir, st) }
 	} else {
 		j.copyIn = []string{smformat.FilterParamsFile}
-		j.exec = func(dir string) (err error) {
-			j.peaks, err = s.filterRecord(dir, st)
-			return err
-		}
+		j.exec = func(dir string) error { return s.filterRecord(dir, st, peaks) }
 	}
 	return j
 }
@@ -296,35 +291,4 @@ func (s *state) transfer(j *tempJob, op string, names []string, from, to string,
 		}
 	}
 	return nil
-}
-
-// runTempJob is Pipelined's body of one record of process #4, #7 or #13:
-// the job's steps back to back, stopping once the record is quarantined.
-func (s *state) runTempJob(j *tempJob) (err error) {
-	defer func() {
-		if err != nil {
-			s.removeScratchDirs([]string{j.rc.scratch})
-		}
-	}()
-	for _, step := range s.tempSteps() {
-		if err = s.cancelled(); err != nil {
-			return err
-		}
-		if err = step.run(s, j); err != nil || s.isQuarantined(j.rc.station) {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeMergedMaxValues merges per-record fragments (quarantined records
-// contribute an empty one) into the max-values metadata.
-func (s *state) writeMergedMaxValues(frags []smformat.MaxValues) error {
-	merged := smformat.MaxValues{Peaks: map[smformat.SignalKey]seismic.PeakValues{}}
-	for _, frag := range frags {
-		for k, v := range frag.Peaks {
-			merged.Peaks[k] = v
-		}
-	}
-	return smformat.WriteMaxValuesFileFS(s.ws, s.path(smformat.MaxValuesFile), merged)
 }
