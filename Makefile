@@ -60,19 +60,20 @@ fma:
 	rm -rf "$$dir"; exit $$status
 
 # Schedule independence: tests whose outcome once depended on goroutine
-# timing, and the staged variants' products and span tree now that they
-# run on the concurrent dataflow executor, 30 runs each.
+# timing, the staged variants' products and span tree now that they run on
+# the concurrent dataflow executor, and the fleet's products on the shared
+# worker loop, streamed and not, 30 runs each.
 schedule:
-	$(GO) test -count=30 -run 'TestPipelinedTargetedChaosMatchesFullParallel|TestArtifactCacheCounters|TestVariantsProduceIdenticalOutputs|TestSpanTreeMatchesTimings' ./internal/pipeline/
+	$(GO) test -count=30 -run 'TestPipelinedTargetedChaosMatchesFullParallel|TestArtifactCacheCounters|TestVariantsProduceIdenticalOutputs|TestSpanTreeMatchesTimings|TestRunFleetMatchesIndividualRuns|TestRunFleetStreamingMatchesRun' ./internal/pipeline/
 	$(GO) test -count=30 -run 'TestRunTraceAndMetrics' ./cmd/smproc/
 
-# The parallel runtime, the dataflow scheduler, the fleet scheduler, and
-# the pipeline drivers carry the concurrency and the occupancy
-# instrumentation; they must stay race-clean, and so must the shared
-# artifact store, the ingest plane, the storage plane, and the streaming
-# chunk plane under them.
+# The parallel runtime, the dataflow scheduler (one worker loop for single
+# graphs and fleets), and the pipeline drivers carry the concurrency and
+# the occupancy instrumentation; they must stay race-clean, and so must the
+# shared artifact store, the ingest plane, the storage plane, and the
+# streaming chunk plane under them.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/dataflow/... ./internal/fleet/... ./internal/pipeline/... ./internal/ingest/... ./internal/artifact/... ./internal/storage/... ./internal/stream/...
+	$(GO) test -race ./internal/parallel/... ./internal/dataflow/... ./internal/pipeline/... ./internal/ingest/... ./internal/artifact/... ./internal/storage/... ./internal/stream/...
 
 # Seeded chaos soak: the fault-injection suite (rate sweep, poisoned-record
 # batch, retry/quarantine engine) under the race detector, with the artifact

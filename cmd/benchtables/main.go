@@ -84,7 +84,7 @@ import (
 
 	"accelproc/internal/bench"
 	"accelproc/internal/cliobs"
-	"accelproc/internal/fleet"
+	"accelproc/internal/dataflow"
 	"accelproc/internal/pipeline"
 	"accelproc/internal/response"
 	"accelproc/internal/storage"
@@ -333,11 +333,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Observer: cfg.Observer,
 		}
 		if *fleetPol != "" {
-			p, err := fleet.ParsePolicy(*fleetPol)
+			p, err := dataflow.ParsePolicy(*fleetPol)
 			if err != nil {
 				return err
 			}
-			fcfg.Policies = []fleet.Policy{p}
+			fcfg.Policies = []dataflow.Policy{p}
 		}
 		if *smoke {
 			fcfg.Queue = 3

@@ -76,9 +76,9 @@ import (
 
 	"accelproc/internal/artifact"
 	"accelproc/internal/cliobs"
+	"accelproc/internal/dataflow"
 	"accelproc/internal/dsp"
 	"accelproc/internal/faults"
-	"accelproc/internal/fleet"
 	"accelproc/internal/ingest"
 	"accelproc/internal/obs"
 	"accelproc/internal/pipeline"
@@ -167,7 +167,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *fleetMode && *batch == "" {
 		return fmt.Errorf("-fleet requires -batch")
 	}
-	policy, err := fleet.ParsePolicy(*fleetPolicy)
+	policy, err := dataflow.ParsePolicy(*fleetPolicy)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@ import (
 	"strings"
 	"time"
 
-	"accelproc/internal/fleet"
+	"accelproc/internal/dataflow"
 	"accelproc/internal/obs"
 	"accelproc/internal/pipeline"
 	"accelproc/internal/response"
@@ -20,7 +20,7 @@ import (
 )
 
 // This file is the multi-event saturation benchmark behind the fleet
-// scheduler (internal/fleet, pipeline.RunFleet): a queue of identical-shape
+// scheduler (dataflow.Run, pipeline.RunFleet): a queue of identical-shape
 // events is offered to one shared worker pool under each scheduling policy,
 // and the experiment reports per-event latency quantiles (p50/p99,
 // admission to done) and aggregate throughput (points per second over the
@@ -41,11 +41,11 @@ type FleetConfig struct {
 	// on the simulated platform SimProcessors is the pool width instead.
 	Workers int
 	// Admit caps concurrently-open events; <= 0 selects each policy's
-	// default (fleet.Policy.DefaultAdmit).
+	// default (dataflow.Policy.DefaultAdmit).
 	Admit int
 	// Policies are the fleet policies to measure; nil selects latency,
 	// balanced, and throughput.
-	Policies []fleet.Policy
+	Policies []dataflow.Policy
 	// Repeat measures every configuration this many times and keeps the
 	// fastest makespan; 0 selects 1.
 	Repeat int
@@ -76,7 +76,7 @@ func (c FleetConfig) withDefaults() FleetConfig {
 		c.Scale = 1.0
 	}
 	if c.Policies == nil {
-		c.Policies = []fleet.Policy{fleet.Latency, fleet.Balanced, fleet.Throughput}
+		c.Policies = []dataflow.Policy{dataflow.Latency, dataflow.Balanced, dataflow.Throughput}
 	}
 	if c.Repeat <= 0 {
 		c.Repeat = 1
@@ -300,7 +300,7 @@ func RunFleetBench(ctx context.Context, cfg FleetConfig, progress func(string)) 
 				return FleetResult{}, err
 			}
 			sims, _, err := pipeline.MeasureFleet(ctx, dirs, pipeline.FleetOptions{
-				Options: opts, Policy: fleet.Latency, Admit: cfg.Admit,
+				Options: opts, Policy: dataflow.Latency, Admit: cfg.Admit,
 			})
 			cleanup()
 			if err != nil {
@@ -315,7 +315,7 @@ func RunFleetBench(ctx context.Context, cfg FleetConfig, progress func(string)) 
 			// back-to-back.
 			seq := FleetPolicyResult{Policy: "sequential", Admit: 1}
 			for i := range sims {
-				alone := fleet.Simulate(sims[i:i+1], simProcs, 1, fleet.Latency)[0].Latency()
+				alone := dataflow.Simulate(sims[i:i+1], simProcs, 1, dataflow.Latency)[0].Latency()
 				if res.SingleLatencies[i] == 0 || alone < res.SingleLatencies[i] {
 					res.SingleLatencies[i] = alone
 				}
@@ -330,7 +330,7 @@ func RunFleetBench(ctx context.Context, cfg FleetConfig, progress func(string)) 
 				if pr.Admit <= 0 {
 					pr.Admit = policy.DefaultAdmit(res.Workers)
 				}
-				for _, sr := range fleet.Simulate(sims, simProcs, cfg.Admit, policy) {
+				for _, sr := range dataflow.Simulate(sims, simProcs, cfg.Admit, policy) {
 					pr.Latencies = append(pr.Latencies, sr.Latency())
 					if done := sr.Wait() + sr.Latency(); done > pr.Makespan {
 						pr.Makespan = done
@@ -353,7 +353,7 @@ func RunFleetBench(ctx context.Context, cfg FleetConfig, progress func(string)) 
 			if err != nil {
 				return FleetResult{}, err
 			}
-			single, err := pipeline.RunFleet(ctx, dirs, pipeline.FleetOptions{Options: opts, Policy: fleet.Latency})
+			single, err := pipeline.RunFleet(ctx, dirs, pipeline.FleetOptions{Options: opts, Policy: dataflow.Latency})
 			cleanup()
 			if err != nil {
 				return FleetResult{}, fmt.Errorf("bench: fleet standalone reference: %w", err)
@@ -466,7 +466,7 @@ func FleetChecks(r FleetResult) []string {
 		out = append(out, fmt.Sprintf("[%s] %s", status, fmt.Sprintf(format, args...)))
 	}
 
-	tp := r.Policy(fleet.Throughput.String())
+	tp := r.Policy(dataflow.Throughput.String())
 	gain := 0.0
 	if r.Sequential.PointsPerSecond > 0 {
 		gain = tp.PointsPerSecond / r.Sequential.PointsPerSecond
@@ -475,7 +475,7 @@ func FleetChecks(r FleetResult) []string {
 		"throughput policy sustains >=1.2x sequential aggregate throughput (%.2fx: %.0f vs %.0f points/s)",
 		gain, tp.PointsPerSecond, r.Sequential.PointsPerSecond)
 
-	lp := r.Policy(fleet.Latency.String())
+	lp := r.Policy(dataflow.Latency.String())
 	stretch := 0.0
 	if r.SingleEvent > 0 {
 		stretch = lp.P99.Seconds() / r.SingleEvent.Seconds()

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"accelproc/internal/fleet"
+	"accelproc/internal/dataflow"
 	"accelproc/internal/synth"
 )
 
@@ -54,7 +54,7 @@ func TestRunFleetBenchSmoke(t *testing.T) {
 			t.Errorf("policy %s makespan %v far above sequential %v", p.Policy, p.Makespan, res.Sequential.Makespan)
 		}
 	}
-	if lat := res.Policy(fleet.Latency.String()); lat.Admit != 1 {
+	if lat := res.Policy(dataflow.Latency.String()); lat.Admit != 1 {
 		t.Errorf("latency policy default admit = %d, want 1", lat.Admit)
 	}
 	out := FormatFleet(res)

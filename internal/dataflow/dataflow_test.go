@@ -126,7 +126,7 @@ func TestSerialOrderIsCriticalPathFirst(t *testing.T) {
 	l0 := g.Add(Spec{Label: "l0", Weight: 3, Run: noop})
 	l1 := g.Add(Spec{Label: "l1", Weight: 3, Run: noop}, l0)
 
-	got := g.Order()
+	got := serialOrder(t, g)
 	want := []NodeID{h0, h1, h2, l0, l1}
 	if len(got) != len(want) {
 		t.Fatalf("order = %v, want %v", got, want)
@@ -145,8 +145,7 @@ func TestTieBreakHeaviestFirst(t *testing.T) {
 	a := g.Add(Spec{Label: "a", Weight: 5, Run: noop})
 	b := g.Add(Spec{Label: "b", Weight: 9, Run: noop})
 	c := g.Add(Spec{Label: "c", Weight: 9, Run: noop})
-	_ = a
-	got := g.Order()
+	got := serialOrder(t, g)
 	want := []NodeID{b, c, a}
 	for i := range want {
 		if got[i] != want[i] {
@@ -268,36 +267,60 @@ func TestExecuteEmptyGraph(t *testing.T) {
 	}
 }
 
+// serialOrder returns the order in which Execute(1, nil) runs g's nodes.
+func serialOrder(t *testing.T, g *Graph) []NodeID {
+	t.Helper()
+	var order []NodeID
+	for _, nd := range g.nodes {
+		id, run := nd.id, nd.spec.Run
+		nd.spec.Run = func() error {
+			order = append(order, id)
+			return run()
+		}
+	}
+	if _, err := g.Execute(1, nil); err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	return order
+}
+
+// simulate is the makespan of g alone on the simulated platform.
+func simulate(g *Graph, durs []time.Duration, workers int) time.Duration {
+	return Simulate([]SimJob{{Name: "g", Graph: g, Durs: durs}}, workers, 1, Throughput)[0].Done
+}
+
+// TestSimMakespanChainAndFanOut checks Simulate's makespan of one graph on
+// chains, fan-outs and contention.
 func TestSimMakespanChainAndFanOut(t *testing.T) {
 	ms := time.Millisecond
 	// Chain: serial regardless of workers.
 	g := New()
 	a := g.Add(Spec{Label: "a", Weight: 1, Run: noop})
 	g.Add(Spec{Label: "b", Weight: 1, Run: noop}, a)
-	if got := g.SimMakespan([]time.Duration{3 * ms, 4 * ms}, 4); got != 7*ms {
+	if got := simulate(g, []time.Duration{3 * ms, 4 * ms}, 4); got != 7*ms {
 		t.Errorf("chain makespan = %v, want 7ms", got)
 	}
 	// Fan-out, alpha 0: perfect overlap on 2 workers.
 	g2 := New()
 	g2.Add(Spec{Label: "a", Weight: 1, Run: noop})
 	g2.Add(Spec{Label: "b", Weight: 1, Run: noop})
-	if got := g2.SimMakespan([]time.Duration{3 * ms, 4 * ms}, 2); got != 4*ms {
+	if got := simulate(g2, []time.Duration{3 * ms, 4 * ms}, 2); got != 4*ms {
 		t.Errorf("fan-out makespan = %v, want 4ms", got)
 	}
 	// Fan-out with contention: each node slowed by 1 + 0.5*(2-1) = 1.5.
 	g3 := New()
 	g3.Add(Spec{Label: "a", Weight: 1, Alpha: 0.5, Run: noop})
 	g3.Add(Spec{Label: "b", Weight: 1, Alpha: 0.5, Run: noop})
-	if got := g3.SimMakespan([]time.Duration{4 * ms, 4 * ms}, 2); got != 6*ms {
+	if got := simulate(g3, []time.Duration{4 * ms, 4 * ms}, 2); got != 6*ms {
 		t.Errorf("contended makespan = %v, want 6ms", got)
 	}
 	// One worker: serial sum, no contention.
-	if got := g3.SimMakespan([]time.Duration{4 * ms, 4 * ms}, 1); got != 8*ms {
+	if got := simulate(g3, []time.Duration{4 * ms, 4 * ms}, 1); got != 8*ms {
 		t.Errorf("serial makespan = %v, want 8ms", got)
 	}
 }
 
-// TestSimMakespanNeverBelowCriticalPath sanity-checks the scheduler against
+// TestSimMakespanNeverBelowCriticalPath sanity-checks Simulate against
 // the two trivial lower bounds on random DAGs: the critical path and the
 // total work divided by the worker count (alpha 0 so no contention).
 func TestSimMakespanNeverBelowCriticalPath(t *testing.T) {
@@ -318,7 +341,7 @@ func TestSimMakespanNeverBelowCriticalPath(t *testing.T) {
 			ids = append(ids, g.Add(Spec{Label: fmt.Sprintf("n%d", i), Weight: float64(durs[i])}, deps...))
 		}
 		for _, w := range []int{1, 2, 4, 8} {
-			got := g.SimMakespan(durs, w)
+			got := simulate(g, durs, w)
 			if got < Sum(durs)/time.Duration(w) {
 				t.Errorf("trial %d w=%d: makespan %v below work bound %v", trial, w, got, Sum(durs)/time.Duration(w))
 			}
@@ -338,77 +361,97 @@ func Sum(durs []time.Duration) time.Duration {
 	return s
 }
 
+// soakGraph builds a random 120-node DAG with random failures; check
+// verifies the once-and-ordered invariants against one execution's result.
+func soakGraph(t *testing.T, seed int64) (g *Graph, check func([]NodeStat, error)) {
+	rng := rand.New(rand.NewSource(seed))
+	g = New()
+	const n = 120
+	boom := errors.New("boom")
+	counts := make([]atomic.Int32, n)
+	finished := make([]atomic.Bool, n)
+	deps := make([][]NodeID, n)
+	ids := make([]NodeID, 0, n)
+	fail := make([]bool, n)
+	anyFail := false
+	for i := 0; i < n; i++ {
+		i := i
+		for d := 0; d < 3; d++ {
+			if p := rng.Intn(i + 1); p < i {
+				deps[i] = append(deps[i], ids[p])
+			}
+		}
+		fail[i] = rng.Intn(30) == 0
+		anyFail = anyFail || fail[i]
+		ids = append(ids, g.Add(Spec{
+			Label:  fmt.Sprintf("r%d-n%d", seed, i),
+			Weight: rng.Float64() * 1000,
+			Run: func() error {
+				counts[i].Add(1)
+				for _, d := range deps[i] {
+					if !finished[d].Load() {
+						return fmt.Errorf("node %d ran before dep %d", i, d)
+					}
+				}
+				if fail[i] {
+					return boom
+				}
+				finished[i].Store(true)
+				return nil
+			},
+		}, deps[i]...))
+	}
+	return g, func(stats []NodeStat, err error) {
+		if anyFail && err == nil {
+			t.Errorf("graph %d: failures injected but no error returned", seed)
+		}
+		if err != nil && !errors.Is(err, boom) {
+			t.Errorf("graph %d: %v", seed, err)
+		}
+		for i := range counts {
+			c := counts[i].Load()
+			if stats[i].Skipped && c != 0 {
+				t.Errorf("graph %d: skipped node %d ran", seed, i)
+			}
+			if !stats[i].Skipped && c != 1 {
+				t.Errorf("graph %d: node %d ran %d times", seed, i, c)
+			}
+		}
+	}
+}
+
 // TestExecuteSoak is the race-detector workout: many concurrent executions
-// of random DAGs with random failures, checking the once-and-ordered
-// invariants every time.
+// of random DAGs with random failures, and one multi-job Run sharing a pool
+// across such DAGs, checking the once-and-ordered invariants every time.
 func TestExecuteSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short")
 	}
 	var outer sync.WaitGroup
 	for round := 0; round < 8; round++ {
-		round := round
 		outer.Add(1)
-		go func() {
+		go func(round int64) {
 			defer outer.Done()
-			rng := rand.New(rand.NewSource(int64(round)))
-			g := New()
-			const n = 120
-			boom := errors.New("boom")
-			counts := make([]atomic.Int32, n)
-			finished := make([]atomic.Bool, n)
-			deps := make([][]NodeID, n)
-			ids := make([]NodeID, 0, n)
-			fail := make([]bool, n)
-			for i := 0; i < n; i++ {
-				i := i
-				for d := 0; d < 3; d++ {
-					if p := rng.Intn(i + 1); p < i {
-						deps[i] = append(deps[i], ids[p])
-					}
-				}
-				fail[i] = rng.Intn(30) == 0
-				ids = append(ids, g.Add(Spec{
-					Label:  fmt.Sprintf("r%d-n%d", round, i),
-					Weight: rng.Float64() * 1000,
-					Run: func() error {
-						counts[i].Add(1)
-						for _, d := range deps[i] {
-							if !finished[d].Load() {
-								return fmt.Errorf("node %d ran before dep %d", i, d)
-							}
-						}
-						if fail[i] {
-							return boom
-						}
-						finished[i].Store(true)
-						return nil
-					},
-				}, deps[i]...))
-			}
-			stats, err := g.Execute(1+rng.Intn(8), nil)
-			anyFail := false
-			for i := range fail {
-				if fail[i] {
-					anyFail = true
-				}
-			}
-			if anyFail && err == nil {
-				t.Errorf("round %d: failures injected but no error returned", round)
-			}
-			if err != nil && !errors.Is(err, boom) {
-				t.Errorf("round %d: %v", round, err)
-			}
-			for i := range counts {
-				c := counts[i].Load()
-				if stats[i].Skipped && c != 0 {
-					t.Errorf("round %d: skipped node %d ran", round, i)
-				}
-				if !stats[i].Skipped && c != 1 {
-					t.Errorf("round %d: node %d ran %d times", round, i, c)
-				}
-			}
-		}()
+			g, check := soakGraph(t, round)
+			check(g.Execute(1+rand.New(rand.NewSource(round)).Intn(8), nil))
+		}(int64(round))
 	}
 	outer.Wait()
+
+	// A graph runs once, so every policy gets freshly built jobs.
+	for _, policy := range []Policy{Balanced, Latency, Throughput} {
+		jobs := make([]Job, 8)
+		checks := make([]func([]NodeStat, error), len(jobs))
+		for i := range jobs {
+			g, check := soakGraph(t, int64(100+i))
+			checks[i] = check
+			jobs[i] = Job{Name: g.Label(0), Graph: g}
+			if i%2 == 1 { // half the jobs build their graph on a pool worker
+				jobs[i] = Job{Name: g.Label(0), Build: func() (*Graph, error) { return g, nil }}
+			}
+		}
+		for i, r := range Run(jobs, Options{Workers: 4, Admit: 3, Policy: policy}) {
+			checks[i](r.Stats, r.Err)
+		}
+	}
 }

@@ -3,133 +3,114 @@ package dataflow
 import (
 	"container/heap"
 	"time"
+
+	"accelproc/internal/simsched"
 )
 
-// Order returns the node IDs in serial priority-dispatch order: the order a
-// single-worker Execute would run them, popping the highest critical-path
-// priority among ready nodes after each completion.  The simulated platform
-// executes bodies serially in this order, measuring real per-node costs,
-// then charges the virtual clock via SimMakespan.
-func (g *Graph) Order() []NodeID {
-	n := len(g.nodes)
-	if n == 0 {
-		return nil
-	}
-	g.prioritize()
-	indeg := make([]int, n)
-	var ready readyHeap
-	for _, nd := range g.nodes {
-		// Stream edges are treated as ordered here: the serial platform runs
-		// one body at a time, so a consumer must follow its producer — its
-		// stream is fully buffered (spilled) by then and drains immediately.
-		indeg[nd.id] = len(nd.deps) + len(nd.sdeps)
-		if indeg[nd.id] == 0 {
-			heap.Push(&ready, nd)
-		}
-	}
-	order := make([]NodeID, 0, n)
-	for len(ready) > 0 {
-		nd := heap.Pop(&ready).(*node)
-		order = append(order, nd.id)
-		for _, c := range nd.children {
-			indeg[c]--
-			if indeg[c] == 0 {
-				heap.Push(&ready, g.nodes[c])
-			}
-		}
-		for _, c := range nd.schildren {
-			indeg[c]--
-			if indeg[c] == 0 {
-				heap.Push(&ready, g.nodes[c])
-			}
-		}
-	}
-	return order
+// SimJob is one job on the simulated platform: its graph, the serially
+// measured per-node costs, and the measured cost of its Build prologue.
+type SimJob struct {
+	Name  string
+	Graph *Graph
+	// Durs holds each node's serially measured duration, indexed by NodeID.
+	Durs []time.Duration
+	// Build is the cost of the job's admission-time prologue (stage I and
+	// graph construction), modeled as a single task on one worker; zero for
+	// a job whose graph is ready at admission.
+	Build time.Duration
 }
 
-// freeHeap is a min-heap of simulated worker finish times.
-type freeHeap []time.Duration
+// pending is one in-flight item in the simulator: a node, or the job's
+// Build when node is nil.
+type pending struct {
+	fin  time.Duration
+	job  *job
+	node *node
+}
 
-func (h freeHeap) Len() int           { return len(h) }
-func (h freeHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h freeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *freeHeap) Push(x any)        { *h = append(*h, x.(time.Duration)) }
-func (h *freeHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+// pendHeap orders in-flight items by finish time, with (job, node)
+// tie-breaks so simultaneous completions resolve deterministically.
+type pendHeap []pending
 
-// SimMakespan returns the wall time the graph would take on w simulated
-// workers under greedy critical-path-first list scheduling, where node i
-// costs durs[i] scaled by the contention slowdown 1 + alpha_i*(w-1) — the
-// same linear model as internal/simsched, but with a per-node coefficient
-// because a dataflow pool mixes compute-bound and I/O-bound nodes.
+func (h pendHeap) Len() int { return len(h) }
+func (h pendHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.fin != b.fin {
+		return a.fin < b.fin
+	}
+	if a.job.idx != b.job.idx {
+		return a.job.idx < b.job.idx
+	}
+	return b.node != nil && (a.node == nil || a.node.id < b.node.id)
+}
+func (h pendHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *pendHeap) Push(x any)   { *h = append(*h, x.(pending)) }
+func (h *pendHeap) Pop() any {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+// Simulate runs Run's schedule on a virtual clock: the same admission,
+// policy order and completion cascade, but with task costs taken from
+// measured durations instead of executing bodies.  Node i of a job costs
+// Durs[i] scaled by simsched.Slowdown(total nodes, workers, alpha_i), the
+// contention model of the staged loops, with a per-node coefficient because
+// a graph mixes compute-bound and I/O-bound nodes.  Results hold virtual
+// offsets, and their node stats record Ready and End only.  On a graph
+// without edges the makespan is simsched.Makespan's.
 //
-// durs must be indexed by NodeID and hold the serially measured costs.
-// Nodes are committed in priority order to the earliest-free worker, never
-// before their last dependency finishes; because a node's finish time is
-// fixed at commit time, releases cascade within the loop and the schedule
-// is deterministic.
-func (g *Graph) SimMakespan(durs []time.Duration, workers int) time.Duration {
-	n := len(g.nodes)
-	if n == 0 {
-		return 0
+// Stream edges release at the producer's completion, not its dispatch: the
+// serially measured consumer cost assumes its input was already buffered,
+// so charging the producer's finish keeps the makespan an upper bound.
+// The schedule is deterministic: dispatch uses the policy's total order and
+// simultaneous completions resolve by (job, node).  Failures are out of
+// scope — the simulated platform measures the healthy path.
+func Simulate(jobs []SimJob, workers, admit int, policy Policy) []Result {
+	w := max(workers, 1)
+	if admit <= 0 {
+		admit = policy.DefaultAdmit(w)
 	}
-	w := workers
-	if w < 1 {
-		w = 1
+	specs := make([]Job, len(jobs))
+	total := 0
+	for i, sj := range jobs {
+		// No prebuilt graph: admission queues the job's Build item, which
+		// the loop charges SimJob.Build for instead of calling.
+		specs[i] = Job{Name: sj.Name}
+		total += sj.Graph.Len()
 	}
-	if w > n {
-		w = n
-	}
-	g.prioritize()
-	indeg := make([]int, n)
-	readyAt := make([]time.Duration, n)
-	var ready readyHeap
-	for _, nd := range g.nodes {
-		indeg[nd.id] = len(nd.deps) + len(nd.sdeps)
-		if indeg[nd.id] == 0 {
-			heap.Push(&ready, nd)
-		}
-	}
-	free := make(freeHeap, w)
-	heap.Init(&free)
-	var makespan time.Duration
-	for len(ready) > 0 {
-		nd := heap.Pop(&ready).(*node)
-		tw := heap.Pop(&free).(time.Duration)
-		start := tw
-		if r := readyAt[nd.id]; r > start {
-			start = r
-		}
-		slow := 1.0
-		if w > 1 {
-			slow = 1 + nd.spec.Alpha*float64(w-1)
-		}
-		finish := start + time.Duration(float64(durs[nd.id])*slow)
-		heap.Push(&free, finish)
-		if finish > makespan {
-			makespan = finish
-		}
-		for _, c := range nd.children {
-			indeg[c]--
-			if readyAt[c] < finish {
-				readyAt[c] = finish
+	r := newRun(specs, admit, policy, nil, nil)
+	var now time.Duration
+	r.clock = func() time.Duration { return now }
+	var pend pendHeap
+	free := w
+	for {
+		r.admitReady()
+		for free > 0 {
+			j, nd := r.pop()
+			if j == nil {
+				break
 			}
-			if indeg[c] == 0 {
-				heap.Push(&ready, g.nodes[c])
+			cost := jobs[j.idx].Build
+			if nd != nil {
+				slow := simsched.Slowdown(total, w, nd.spec.Alpha)
+				cost = time.Duration(float64(jobs[j.idx].Durs[nd.id]) * slow)
 			}
+			heap.Push(&pend, pending{fin: now + cost, job: j, node: nd})
+			free--
 		}
-		// Stream consumers could in principle overlap the producer from its
-		// start, but the serially measured consumer cost assumes its inputs
-		// were already buffered; charging the producer's finish keeps the
-		// simulated makespan an upper bound rather than an optimistic guess.
-		for _, c := range nd.schildren {
-			indeg[c]--
-			if readyAt[c] < finish {
-				readyAt[c] = finish
-			}
-			if indeg[c] == 0 {
-				heap.Push(&ready, g.nodes[c])
-			}
+		if pend.Len() == 0 {
+			return r.res
+		}
+		p := heap.Pop(&pend).(pending)
+		now = p.fin
+		free++
+		if p.node == nil {
+			r.start(p.job, jobs[p.job.idx].Graph)
+		} else {
+			r.complete(p.job, p.node.id, nil, now)
 		}
 	}
-	return makespan
 }

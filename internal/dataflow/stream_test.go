@@ -11,54 +11,69 @@ import (
 // edge: the consumer becomes runnable when the producer is dispatched, not
 // when it completes, so the two overlap in time.
 func TestStreamEdgeReleasesAtDispatch(t *testing.T) {
-	g := New()
-	rendezvous := make(chan struct{})
-	producer := g.Add(Spec{Label: "producer", Run: func() error {
-		// Block until the consumer is also running: only possible if the
-		// stream edge released at dispatch.
-		select {
-		case rendezvous <- struct{}{}:
-			return nil
-		case <-time.After(5 * time.Second):
-			return errors.New("consumer never started while producer was running")
-		}
-	}})
-	g.AddStream(Spec{Label: "consumer", Run: func() error {
-		select {
-		case <-rendezvous:
-			return nil
-		case <-time.After(5 * time.Second):
-			return errors.New("producer never handed off")
-		}
-	}}, []NodeID{producer})
-
-	if _, err := g.Execute(2, nil); err != nil {
-		t.Fatal(err)
+	pair := func() *Graph {
+		g := New()
+		rendezvous := make(chan struct{})
+		producer := g.Add(Spec{Label: "producer", Run: func() error {
+			// Block until the consumer is also running: only possible if the
+			// stream edge released at dispatch.
+			select {
+			case rendezvous <- struct{}{}:
+				return nil
+			case <-time.After(5 * time.Second):
+				return errors.New("consumer never started while producer was running")
+			}
+		}})
+		g.AddStream(Spec{Label: "consumer", Run: func() error {
+			select {
+			case <-rendezvous:
+				return nil
+			case <-time.After(5 * time.Second):
+				return errors.New("producer never handed off")
+			}
+		}}, []NodeID{producer})
+		return g
 	}
+
+	t.Run("execute", func(t *testing.T) {
+		if _, err := pair().Execute(2, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Several jobs on one pool: Latency serves the older open job first, so
+	// the second worker takes the consumer the first one's dispatch released.
+	t.Run("run", func(t *testing.T) {
+		jobs := []Job{{Name: "a", Graph: pair()}, {Name: "b", Graph: pair()}, {Name: "c", Graph: pair()}}
+		for _, r := range Run(jobs, Options{Workers: 2, Admit: 2, Policy: Latency}) {
+			if r.Err != nil {
+				t.Errorf("job %s: %v", r.Name, r.Err)
+			}
+		}
+	})
 }
 
-// TestStreamEdgeCompleteOnlyFallback drives the Tracker by Complete alone
-// (the fleet pool's mode): stream consumers must still become runnable, just
+// TestStreamEdgeCompleteOnlyFallback drives the tracker by completions alone
+// (the simulator's mode): stream consumers must still become runnable, just
 // in strict order.
 func TestStreamEdgeCompleteOnlyFallback(t *testing.T) {
 	g := New()
 	p := g.Add(Spec{Label: "p", Run: func() error { return nil }})
 	c := g.AddStream(Spec{Label: "c", Run: func() error { return nil }}, []NodeID{p})
 
-	tr := NewTracker(g)
-	init := tr.InitialReady()
+	tr := newTracker(g)
+	init := tr.initialReady()
 	if len(init) != 1 || init[0] != p {
 		t.Fatalf("initial ready %v", init)
 	}
-	ready, skipped := tr.Complete(p, nil)
+	ready, skipped := tr.complete(p, nil)
 	if len(skipped) != 0 || len(ready) != 1 || ready[0] != c {
 		t.Fatalf("after complete-only producer: ready=%v skipped=%v", ready, skipped)
 	}
-	if rd, sk := tr.Complete(c, nil); len(rd) != 0 || len(sk) != 0 {
+	if rd, sk := tr.complete(c, nil); len(rd) != 0 || len(sk) != 0 {
 		t.Fatalf("after consumer: ready=%v skipped=%v", rd, sk)
 	}
-	if !tr.Done() || tr.Err() != nil {
-		t.Fatalf("done=%v err=%v", tr.Done(), tr.Err())
+	if !tr.done() || tr.err != nil {
+		t.Fatalf("done=%v err=%v", tr.done(), tr.err)
 	}
 }
 
@@ -70,18 +85,18 @@ func TestStreamEdgeNoDoubleRelease(t *testing.T) {
 	gate := g.Add(Spec{Label: "gate", Run: func() error { return nil }})
 	c := g.AddStream(Spec{Label: "c", Run: func() error { return nil }}, []NodeID{p}, gate)
 
-	tr := NewTracker(g)
-	ready, _ := tr.Dispatched(p)
+	tr := newTracker(g)
+	ready, _ := tr.dispatched(p)
 	if len(ready) != 0 {
 		t.Fatalf("consumer ready before its artifact dep: %v", ready)
 	}
 	// Completing the producer must NOT release the stream edge again; the
 	// consumer still waits on gate.
-	ready, _ = tr.Complete(p, nil)
+	ready, _ = tr.complete(p, nil)
 	if len(ready) != 0 {
 		t.Fatalf("double release: %v", ready)
 	}
-	ready, _ = tr.Complete(gate, nil)
+	ready, _ = tr.complete(gate, nil)
 	if len(ready) != 1 || ready[0] != c {
 		t.Fatalf("after gate: %v", ready)
 	}
@@ -96,16 +111,16 @@ func TestStreamEdgeSkipCascade(t *testing.T) {
 	c := g.AddStream(Spec{Label: "c", Run: func() error { return nil }}, []NodeID{p})
 	d := g.Add(Spec{Label: "d", Run: func() error { return nil }}, c)
 
-	tr := NewTracker(g)
-	ready, skipped := tr.Complete(p, boom)
+	tr := newTracker(g)
+	ready, skipped := tr.complete(p, boom)
 	if len(ready) != 0 {
 		t.Fatalf("ready after failure: %v", ready)
 	}
 	if len(skipped) != 2 || skipped[0] != c || skipped[1] != d {
 		t.Fatalf("skip cascade %v, want [%d %d]", skipped, c, d)
 	}
-	if !tr.Done() || !errors.Is(tr.Err(), boom) {
-		t.Fatalf("done=%v err=%v", tr.Done(), tr.Err())
+	if !tr.done() || !errors.Is(tr.err, boom) {
+		t.Fatalf("done=%v err=%v", tr.done(), tr.err)
 	}
 }
 
@@ -119,33 +134,33 @@ func TestStreamEdgeDispatchedProducerFailure(t *testing.T) {
 	p := g.Add(Spec{Label: "p", Run: func() error { return boom }})
 	c := g.AddStream(Spec{Label: "c", Run: func() error { return nil }}, []NodeID{p})
 
-	tr := NewTracker(g)
-	ready, skipped := tr.Dispatched(p)
+	tr := newTracker(g)
+	ready, skipped := tr.dispatched(p)
 	if len(skipped) != 0 || len(ready) != 1 || ready[0] != c {
 		t.Fatalf("dispatch release: ready=%v skipped=%v", ready, skipped)
 	}
-	ready, skipped = tr.Complete(p, boom)
+	ready, skipped = tr.complete(p, boom)
 	if len(ready) != 0 || len(skipped) != 0 {
 		t.Fatalf("post-failure: ready=%v skipped=%v", ready, skipped)
 	}
-	if _, sk := tr.Complete(c, nil); len(sk) != 0 {
+	if _, sk := tr.complete(c, nil); len(sk) != 0 {
 		t.Fatalf("consumer completion skipped %v", sk)
 	}
-	if !tr.Done() || !errors.Is(tr.Err(), boom) {
-		t.Fatalf("done=%v err=%v", tr.Done(), tr.Err())
+	if !tr.done() || !errors.Is(tr.err, boom) {
+		t.Fatalf("done=%v err=%v", tr.done(), tr.err)
 	}
 }
 
-// TestStreamEdgesOrderedInSerialPlans: Order and SimMakespan treat stream
-// edges as ordered, so a consumer never precedes its producer in the serial
-// plan and the simulated makespan charges the producer's finish.
+// TestStreamEdgesOrderedInSerialPlans: Execute(1, nil) and Simulate treat
+// stream edges as ordered, so a consumer never precedes its producer in the
+// serial run and the simulated makespan charges the producer's finish.
 func TestStreamEdgesOrderedInSerialPlans(t *testing.T) {
 	g := New()
 	p := g.Add(Spec{Label: "p", Weight: 1, Run: func() error { return nil }})
 	c := g.AddStream(Spec{Label: "c", Weight: 1, Run: func() error { return nil }}, []NodeID{p})
 	other := g.Add(Spec{Label: "other", Weight: 10, Run: func() error { return nil }})
 
-	order := g.Order()
+	order := serialOrder(t, g)
 	pos := map[NodeID]int{}
 	for i, id := range order {
 		pos[id] = i
@@ -154,11 +169,11 @@ func TestStreamEdgesOrderedInSerialPlans(t *testing.T) {
 		t.Fatalf("consumer before producer in serial order %v", order)
 	}
 	durs := []time.Duration{time.Second, time.Second, time.Second}
-	if got := g.SimMakespan(durs, 1); got != 3*time.Second {
+	if got := simulate(g, durs, 1); got != 3*time.Second {
 		t.Fatalf("1-worker makespan %v, want 3s", got)
 	}
 	// On 2+ workers the p→c chain (2s) and other (1s) overlap: 2s.
-	if got := g.SimMakespan(durs, 3); got != 2*time.Second {
+	if got := simulate(g, durs, 3); got != 2*time.Second {
 		t.Fatalf("3-worker makespan %v, want 2s", got)
 	}
 	_ = other

@@ -1,31 +1,28 @@
 package dataflow
 
-// Tracker is the incremental ready-state machine behind Execute, exported so
-// external schedulers — internal/fleet merges many events' graphs into one
-// shared pool — can drive a Graph without owning the worker loop.  The
-// Tracker answers one question after every node completion: which nodes
-// became runnable, and which were resolved as skipped because an ancestor
-// failed.  It carries the same error-selection contract as Execute (real
-// errors displace cancellations, smallest NodeID wins).
+// tracker is the incremental ready-state machine of one job's graph.  It
+// answers one question after every dispatch and every completion: which
+// nodes became runnable, and which were resolved as skipped because an
+// ancestor failed.  It carries the error-selection contract of Execute
+// (real errors displace cancellations, smallest NodeID wins).
 //
-// A Tracker is not safe for concurrent use; callers serialize Complete under
-// their own scheduler lock.  The underlying Graph must not be mutated after
-// NewTracker.
-type Tracker struct {
+// A tracker is not safe for concurrent use; the scheduler serializes it
+// under its lock.  The graph must not be mutated after newTracker.
+type tracker struct {
 	g        *Graph
 	indeg    []int
 	failed   []bool // node failed or was transitively skipped
 	released []bool // node's outgoing stream edges already released
-	done     int
+	resolved int
 	err      error
 	errID    NodeID
 }
 
-// NewTracker prepares g for incremental execution: priorities are computed
+// newTracker prepares g for incremental execution: priorities are computed
 // and per-node indegrees captured.
-func NewTracker(g *Graph) *Tracker {
+func newTracker(g *Graph) *tracker {
 	g.prioritize()
-	t := &Tracker{
+	t := &tracker{
 		g:        g,
 		indeg:    make([]int, len(g.nodes)),
 		failed:   make([]bool, len(g.nodes)),
@@ -38,12 +35,9 @@ func NewTracker(g *Graph) *Tracker {
 	return t
 }
 
-// Len returns the number of nodes in the underlying graph.
-func (t *Tracker) Len() int { return len(t.g.nodes) }
-
-// InitialReady returns the nodes runnable before any completion — those with
-// no dependencies — in ascending NodeID order.
-func (t *Tracker) InitialReady() []NodeID {
+// initialReady returns the nodes runnable before any completion — those
+// with no dependencies — in ascending NodeID order.
+func (t *tracker) initialReady() []NodeID {
 	var ready []NodeID
 	for _, nd := range t.g.nodes {
 		if len(nd.deps) == 0 && len(nd.sdeps) == 0 {
@@ -53,47 +47,38 @@ func (t *Tracker) InitialReady() []NodeID {
 	return ready
 }
 
-// Dispatched records that a worker started running node id, releasing its
+// dispatched records that a worker started running node id, releasing its
 // outgoing stream edges: stream consumers whose last pending dependency was
-// the producer's dispatch become runnable now and overlap with it.  Callers
-// that never report dispatch (the fleet pool) simply skip this; Complete
-// releases any still-held stream edges, degrading to ordered execution.
+// the producer's dispatch become runnable now and overlap with it.  The
+// simulator never reports dispatch, because its costs were measured
+// serially; complete then releases the stream edges, in strict order.
 //
 // A released consumer may still resolve as skipped when another of its
 // ancestors already failed; such nodes are returned in skipped with the
 // usual transitive cascade and must not be dispatched.
-func (t *Tracker) Dispatched(id NodeID) (ready, skipped []NodeID) {
+func (t *tracker) dispatched(id NodeID) (ready, skipped []NodeID) {
 	if t.released[id] {
 		return nil, nil
 	}
 	t.released[id] = true
 	for _, c := range t.g.nodes[id].schildren {
-		t.indeg[c]--
-		if t.indeg[c] == 0 {
-			if t.failed[c] {
-				skipped = append(skipped, c)
-				ready, skipped = t.complete(c, nil, ready, skipped)
-			} else {
-				ready = append(ready, c)
-			}
-		}
+		ready, skipped = t.decrement(c, false, ready, skipped)
 	}
 	return ready, skipped
 }
 
-// Complete records that node id finished with err (nil = success) and
+// complete records that node id finished with err (nil = success) and
 // returns the nodes that became runnable plus the nodes resolved as skipped
 // — dependents of a failure whose last dependency just resolved.  Skipped
-// nodes count as done without ever being returned as ready; the caller must
-// not dispatch them.  The skip cascade is transitive, so one Complete call
-// can skip an arbitrarily deep chain.
-func (t *Tracker) Complete(id NodeID, err error) (ready, skipped []NodeID) {
-	ready, skipped = t.complete(id, err, nil, nil)
-	return ready, skipped
+// nodes count as resolved without ever being returned as ready; the caller
+// must not dispatch them.  The skip cascade is transitive, so one complete
+// call can skip an arbitrarily deep chain.
+func (t *tracker) complete(id NodeID, err error) (ready, skipped []NodeID) {
+	return t.resolve(id, err, nil, nil)
 }
 
-func (t *Tracker) complete(id NodeID, err error, ready, skipped []NodeID) ([]NodeID, []NodeID) {
-	t.done++
+func (t *tracker) resolve(id NodeID, err error, ready, skipped []NodeID) ([]NodeID, []NodeID) {
+	t.resolved++
 	if err != nil {
 		t.failed[id] = true
 		if better(err, id, t.err, t.errID) {
@@ -101,66 +86,39 @@ func (t *Tracker) complete(id NodeID, err error, ready, skipped []NodeID) ([]Nod
 		}
 	}
 	for _, c := range t.g.nodes[id].children {
-		t.indeg[c]--
-		if t.failed[id] && !t.failed[c] {
-			t.failed[c] = true
-		}
-		if t.indeg[c] == 0 {
-			if t.failed[c] {
-				skipped = append(skipped, c)
-				ready, skipped = t.complete(c, nil, ready, skipped)
-			} else {
-				ready = append(ready, c)
-			}
-		}
+		ready, skipped = t.decrement(c, t.failed[id], ready, skipped)
 	}
 	if !t.released[id] {
-		// The node never dispatched (it was skipped, or an external scheduler
-		// drives completions only): release its stream edges here, with the
-		// same failure propagation as artifact edges — a consumer whose
-		// producer never ran has no stream to read.  Edges already released
-		// at dispatch skip this; their consumers observe a producer failure
+		// The node never dispatched (it was skipped, or the simulator drives
+		// completions only): release its stream edges here, with the same
+		// failure propagation as artifact edges — a consumer whose producer
+		// never ran has no stream to read.  Edges already released at
+		// dispatch skip this; their consumers observe a producer failure
 		// through the stream itself.
 		t.released[id] = true
 		for _, c := range t.g.nodes[id].schildren {
-			t.indeg[c]--
-			if t.failed[id] && !t.failed[c] {
-				t.failed[c] = true
-			}
-			if t.indeg[c] == 0 {
-				if t.failed[c] {
-					skipped = append(skipped, c)
-					ready, skipped = t.complete(c, nil, ready, skipped)
-				} else {
-					ready = append(ready, c)
-				}
-			}
+			ready, skipped = t.decrement(c, t.failed[id], ready, skipped)
 		}
 	}
 	return ready, skipped
 }
 
-// Done reports whether every node has finished, failed, or been skipped.
-func (t *Tracker) Done() bool { return t.done == len(t.g.nodes) }
+// decrement resolves one incoming edge of c, marking c failed when its
+// producer failed, and files c as ready or skipped once its last edge
+// resolves.
+func (t *tracker) decrement(c NodeID, failed bool, ready, skipped []NodeID) ([]NodeID, []NodeID) {
+	t.indeg[c]--
+	if failed {
+		t.failed[c] = true
+	}
+	if t.indeg[c] > 0 {
+		return ready, skipped
+	}
+	if t.failed[c] {
+		return t.resolve(c, nil, ready, append(skipped, c))
+	}
+	return append(ready, c), skipped
+}
 
-// Err returns the tracked failure: the error of the smallest failed NodeID,
-// with real errors displacing cancellations.  Nil while no node has failed.
-func (t *Tracker) Err() error { return t.err }
-
-// Priority returns id's critical-path priority (weight plus heaviest
-// dependent chain), valid after NewTracker.
-func (t *Tracker) Priority(id NodeID) float64 { return t.g.nodes[id].pri }
-
-// Weight returns id's caller-supplied cost estimate.
-func (t *Tracker) Weight(id NodeID) float64 { return t.g.nodes[id].spec.Weight }
-
-// Alpha returns id's contention coefficient for the simulated platform.
-func (t *Tracker) Alpha(id NodeID) float64 { return t.g.nodes[id].spec.Alpha }
-
-// Label returns id's label.
-func (t *Tracker) Label(id NodeID) string { return t.g.nodes[id].spec.Label }
-
-// Run executes id's body.  Safe to call without the caller's scheduler lock;
-// the body itself must tolerate running on any goroutine (same contract as
-// Spec.Run).
-func (t *Tracker) Run(id NodeID) error { return t.g.nodes[id].spec.Run() }
+// done reports whether every node has finished, failed, or been skipped.
+func (t *tracker) done() bool { return t.resolved == len(t.g.nodes) }

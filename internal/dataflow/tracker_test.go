@@ -59,11 +59,10 @@ func TestExecuteScheduleDeterministicAtOneWorker(t *testing.T) {
 			t.Fatalf("run %d schedule %v differs from first %v", i, got, first)
 		}
 	}
-	// The order must also match the serial priority-dispatch Order(): the two
-	// code paths share the readyHeap total order.
-	g := buildTieGraph(func(NodeID) {})
-	if want := g.Order(); !reflect.DeepEqual(first, want) {
-		t.Fatalf("Execute(1) order %v != Order() %v", first, want)
+	// Root first, then the three branch heads, mids and tails, each tier in
+	// NodeID order: the (priority, weight, id) total order.
+	if want := []NodeID{0, 1, 4, 7, 2, 5, 8, 3, 6, 9}; !reflect.DeepEqual(first, want) {
+		t.Fatalf("Execute(1) order %v, want %v", first, want)
 	}
 }
 
@@ -90,36 +89,33 @@ func TestTrackerMirrorsExecuteSemantics(t *testing.T) {
 	c := g.Add(Spec{Label: "c", Weight: 2, Run: noop}, b)    // skipped
 	d := g.Add(Spec{Label: "d", Weight: 1, Run: noop}, a, c) // skipped transitively
 	e := g.Add(Spec{Label: "e", Weight: 1, Run: noop}, a)    // independent branch survives
-	tr := NewTracker(g)
-	if got := tr.InitialReady(); !reflect.DeepEqual(got, []NodeID{a, b}) {
+	tr := newTracker(g)
+	if got := tr.initialReady(); !reflect.DeepEqual(got, []NodeID{a, b}) {
 		t.Fatalf("InitialReady = %v, want [%d %d]", got, a, b)
 	}
-	ready, skipped := tr.Complete(a, nil)
+	ready, skipped := tr.complete(a, nil)
 	if !reflect.DeepEqual(ready, []NodeID{e}) || len(skipped) != 0 {
 		t.Fatalf("after a: ready=%v skipped=%v", ready, skipped)
 	}
-	ready, skipped = tr.Complete(b, boom)
+	ready, skipped = tr.complete(b, boom)
 	// c resolves skipped immediately; d's last dependency (c) resolves within
 	// the same cascade, so d is skipped too.
 	if !reflect.DeepEqual(skipped, []NodeID{c, d}) || len(ready) != 0 {
 		t.Fatalf("after b: ready=%v skipped=%v, want skipped [%d %d]", ready, skipped, c, d)
 	}
-	if tr.Done() {
+	if tr.done() {
 		t.Fatal("Done before e completed")
 	}
-	if _, _ = tr.Complete(e, nil); !tr.Done() {
+	if _, _ = tr.complete(e, nil); !tr.done() {
 		t.Fatal("not Done after all nodes resolved")
 	}
-	if !errors.Is(tr.Err(), boom) {
-		t.Fatalf("Err = %v, want boom", tr.Err())
+	if !errors.Is(tr.err, boom) {
+		t.Fatalf("Err = %v, want boom", tr.err)
 	}
-	if got, want := tr.Priority(a), 4.0+1; got != want {
-		t.Fatalf("Priority(a) = %v, want %v", got, want)
+	if got, want := g.nodes[a].pri, 4.0+1; got != want {
+		t.Fatalf("priority(a) = %v, want %v", got, want)
 	}
-	if got, want := tr.Priority(b), 3.0+2+1; got != want {
-		t.Fatalf("Priority(b) = %v, want %v", got, want)
-	}
-	if tr.Weight(d) != 1 || tr.Label(d) != "d" {
-		t.Fatalf("Weight/Label accessors wrong for d")
+	if got, want := g.nodes[b].pri, 3.0+2+1; got != want {
+		t.Fatalf("priority(b) = %v, want %v", got, want)
 	}
 }

@@ -3,10 +3,10 @@ package obs
 import "time"
 
 // SchedulerMonitor bundles the gauges and counters a multi-job scheduler
-// exports: ready-queue depth, admission state, and per-job latency.  The
-// fleet scheduler (internal/fleet) registers one per pool; like every obs
-// type it is nil-safe, so instrumentation costs nothing when no observer is
-// attached.
+// exports: ready-queue depth, admission state, and per-job latency.
+// dataflow.Run registers one per pool under the "fleet" scope; like every
+// obs type it is nil-safe, so instrumentation costs nothing when no
+// observer is attached.
 //
 // Metrics registered under the given scope:
 //

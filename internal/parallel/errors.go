@@ -35,9 +35,9 @@ func betterError(err error, idx int, cur error, curIdx int) bool {
 // class the smallest index wins.  The zero value is ready to use; it is not
 // safe for concurrent Offer calls — serialize under the caller's lock.
 //
-// Exported so higher-level fan-outs (pipeline.RunBatch, internal/fleet) can
-// report "the first real cause" rather than whichever cancellation happened
-// to land first.
+// Exported so higher-level fan-outs (pipeline.RunBatch) can report "the
+// first real cause" rather than whichever cancellation happened to land
+// first.
 type FirstCause struct {
 	err error
 	idx int

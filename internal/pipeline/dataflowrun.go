@@ -11,6 +11,7 @@ import (
 	"accelproc/internal/dataflow"
 	"accelproc/internal/obs"
 	"accelproc/internal/parallel"
+	"accelproc/internal/simsched"
 	"accelproc/internal/storage"
 	"accelproc/internal/stream"
 )
@@ -104,8 +105,8 @@ func (s *state) preparePipelined() (*stepGraph, error) {
 // timings.  On real goroutines it uses the run's worker budget and reports
 // the scheduler metrics; on the simulated platform one worker dispatches
 // the bodies serially in priority order while the CPU clock measures each
-// node, then the virtual clock is charged the list-scheduling makespan of
-// the measured graph on the simulated processors.
+// node, then the virtual clock is charged the graph's makespan on the
+// simulated processors: a one-job dataflow.Simulate with no build cost.
 func (s *state) executeDataflow(c *stepGraph) error {
 	workers := parallel.Workers(s.opts.Workers)
 	var mon dataflow.Monitor
@@ -124,11 +125,8 @@ func (s *state) executeDataflow(c *stepGraph) error {
 		c.reportMetrics(stats)
 		return nil
 	}
-	var serial time.Duration
-	for _, d := range c.durs {
-		serial += d
-	}
-	s.virt += c.g.SimMakespan(c.durs, s.opts.SimProcessors) - serial
+	sim := dataflow.Simulate([]dataflow.SimJob{{Graph: c.g, Durs: c.durs}}, s.opts.SimProcessors, 1, dataflow.Throughput)
+	s.virt += sim[0].Done - simsched.Sum(c.durs)
 	return nil
 }
 

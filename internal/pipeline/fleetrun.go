@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"accelproc/internal/dataflow"
-	"accelproc/internal/fleet"
 	"accelproc/internal/obs"
 )
 
@@ -15,23 +14,24 @@ import (
 type FleetOptions struct {
 	Options
 	// Policy selects the dispatch order among ready tasks of admitted
-	// events; the zero value is fleet.Balanced.
-	Policy fleet.Policy
+	// events; the zero value is dataflow.Balanced.
+	Policy dataflow.Policy
 	// Admit caps concurrently-open events; <= 0 selects the policy default
-	// (see fleet.Policy.DefaultAdmit).
+	// (see dataflow.Policy.DefaultAdmit).
 	Admit int
 }
 
 // RunFleet processes several event work directories through one shared
-// dataflow worker pool — the fleet scheduler (internal/fleet) — instead of
-// giving each event its own pool as RunBatch does.  Every event runs the
-// Pipelined variant: its stage-I prologue builds the record-level task
-// graph at admission, the merged ready sets drain on opts.Workers shared
-// workers in the order opts.Policy dictates, and materialization runs as
-// the event's finish phase, all on pool workers.  The retry, quarantine,
-// journal, and action-cache planes apply per event exactly as under Run; an
-// action-cache hit completes its node in microseconds, freeing the worker
-// immediately.
+// dataflow worker pool — one multi-job dataflow.Run — instead of giving
+// each event its own pool as RunBatch does.  Every event runs the Pipelined
+// variant: its stage-I prologue builds the record-level task graph at
+// admission, the merged ready sets drain on opts.Workers shared workers in
+// the order opts.Policy dictates, and materialization runs as the event's
+// finish phase, all on pool workers.  Stream edges release at dispatch as
+// under Run, so with Options.Streaming each stream consumer overlaps its
+// producer.  The retry, quarantine, journal, and action-cache planes apply
+// per event exactly as under Run; an action-cache hit completes its node in
+// microseconds, freeing the worker immediately.
 //
 // Results are ordered like dirs, with Wait (arrival-queue time before
 // admission) and Latency (admission to done) filled in; like RunBatch,
@@ -42,7 +42,7 @@ type FleetOptions struct {
 //
 // On the simulated platform (opts.SimProcessors > 0) the events are first
 // measured serially, then the fleet schedule runs on a virtual clock
-// (fleet.Simulate) with SimProcessors pool workers; each Result's Total
+// (dataflow.Simulate) with SimProcessors pool workers; each Result's Total
 // reports the event's virtual fleet latency, and outputs remain
 // byte-identical to real runs.
 func RunFleet(ctx context.Context, dirs []string, opts FleetOptions) ([]BatchResult, error) {
@@ -52,23 +52,23 @@ func RunFleet(ctx context.Context, dirs []string, opts FleetOptions) ([]BatchRes
 
 // MeasureFleet processes every directory exactly as RunFleet on the
 // simulated platform (opts.SimProcessors must be positive) and additionally
-// returns the measured queue: one fleet.SimEvent per healthy directory,
+// returns the measured queue: one dataflow.SimJob per healthy directory,
 // carrying the event's task graph, serial node durations, and build cost.
-// Replaying the returned events through fleet.Simulate with different
+// Replaying the returned events through dataflow.Simulate with different
 // policies or admission caps reschedules the same measured work without
 // re-running it — on the virtual clock, policy deltas computed this way are
 // exactly scheduling deltas, free of cross-run measurement noise (the
 // comparison internal/bench builds its saturation experiment on).  The
 // BatchResults are those of the underlying RunFleet (outputs materialized,
 // timings on the opts.Policy schedule).
-func MeasureFleet(ctx context.Context, dirs []string, opts FleetOptions) ([]fleet.SimEvent, []BatchResult, error) {
+func MeasureFleet(ctx context.Context, dirs []string, opts FleetOptions) ([]dataflow.SimJob, []BatchResult, error) {
 	if opts.SimProcessors <= 0 {
 		return nil, nil, fmt.Errorf("pipeline: MeasureFleet requires a simulated platform (SimProcessors > 0)")
 	}
 	return runFleetDispatch(ctx, dirs, opts)
 }
 
-func runFleetDispatch(ctx context.Context, dirs []string, opts FleetOptions) ([]fleet.SimEvent, []BatchResult, error) {
+func runFleetDispatch(ctx context.Context, dirs []string, opts FleetOptions) ([]dataflow.SimJob, []BatchResult, error) {
 	if err := opts.Validate(Pipelined); err != nil {
 		return nil, nil, err
 	}
@@ -107,12 +107,11 @@ func runFleetDispatch(ctx context.Context, dirs []string, opts FleetOptions) ([]
 		return sims, results, err
 	}
 
-	events := make([]fleet.Event, len(dirs))
+	jobs := make([]dataflow.Job, len(dirs))
 	for i, e := range evs {
-		e := e
-		events[i] = fleet.Event{Name: e.dir, Build: e.build, Finish: e.finish}
+		jobs[i] = dataflow.Job{Name: e.dir, Build: e.build, Finish: e.finish}
 	}
-	fres := fleet.Run(events, fleet.Options{
+	fres := dataflow.Run(jobs, dataflow.Options{
 		Workers:  eventOpts.Workers,
 		Admit:    opts.Admit,
 		Policy:   opts.Policy,
@@ -187,16 +186,16 @@ func (e *fleetEvent) finish(err error) error {
 
 // runFleetSim is RunFleet on the simulated platform: each event's prologue
 // and graph execute serially under the CPU clock to measure per-node costs,
-// then fleet.Simulate replays the whole queue on a virtual clock with
+// then dataflow.Simulate replays the whole queue on a virtual clock with
 // SimProcessors shared workers, and each event's Total becomes its virtual
 // fleet latency (plus its real materialization cost, as in Run).
-func runFleetSim(evs []*fleetEvent, opts FleetOptions) ([]fleet.SimEvent, []BatchResult, error) {
+func runFleetSim(evs []*fleetEvent, opts FleetOptions) ([]dataflow.SimJob, []BatchResult, error) {
 	type measured struct {
 		e         *fleetEvent
 		execErr   error
 		buildCost time.Duration
 	}
-	var sims []fleet.SimEvent
+	var sims []dataflow.SimJob
 	var healthy []measured
 	for _, e := range evs {
 		g, err := e.build()
@@ -210,10 +209,10 @@ func runFleetSim(evs []*fleetEvent, opts FleetOptions) ([]fleet.SimEvent, []Batc
 			e.res.Err = e.finish(execErr)
 			continue
 		}
-		sims = append(sims, fleet.SimEvent{Name: e.dir, Graph: g, Durs: e.b.durs, Build: buildCost})
+		sims = append(sims, dataflow.SimJob{Name: e.dir, Graph: g, Durs: e.b.durs, Build: buildCost})
 		healthy = append(healthy, measured{e: e, buildCost: buildCost})
 	}
-	simRes := fleet.Simulate(sims, opts.SimProcessors, opts.Admit, opts.Policy)
+	simRes := dataflow.Simulate(sims, opts.SimProcessors, opts.Admit, opts.Policy)
 	for k, m := range healthy {
 		e := m.e
 		// Rebase the event clock onto the virtual fleet schedule: everything

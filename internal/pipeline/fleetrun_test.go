@@ -3,18 +3,19 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"accelproc/internal/dataflow"
 	"accelproc/internal/faults"
-	"accelproc/internal/fleet"
 	"accelproc/internal/obs"
 	"accelproc/internal/storage"
 )
 
 // fleetOptions is testOptions with a small shared pool.
-func fleetOptions(policy fleet.Policy) FleetOptions {
+func fleetOptions(policy dataflow.Policy) FleetOptions {
 	opts := testOptions()
 	opts.Workers = 3
 	return FleetOptions{Options: opts, Policy: policy}
@@ -30,7 +31,7 @@ func TestRunFleetMatchesIndividualRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, policy := range []fleet.Policy{fleet.Latency, fleet.Throughput, fleet.Balanced} {
+	for _, policy := range []dataflow.Policy{dataflow.Latency, dataflow.Throughput, dataflow.Balanced} {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
 			dirs := prepareBatchDirs(t, 3)
@@ -63,15 +64,44 @@ func TestRunFleetMatchesIndividualRuns(t *testing.T) {
 	}
 }
 
+// TestRunFleetStreamingMatchesRun runs streamed events on a shared pool of
+// two workers, where a stream consumer is released at its producer's
+// dispatch and overlaps it: every event's products must equal its own
+// streamed Run.
+func TestRunFleetStreamingMatchesRun(t *testing.T) {
+	streamed := testOptions()
+	streamed.Streaming = true
+	ref := prepareBatchDirs(t, 2)
+	for _, d := range ref {
+		if _, err := Run(context.Background(), d, Pipelined, streamed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs := prepareBatchDirs(t, 2)
+	opts := fleetOptions(dataflow.Balanced)
+	opts.Options = streamed
+	opts.Workers = 2
+	results, err := RunFleet(context.Background(), dirs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range dirs {
+		if results[i].Err != nil {
+			t.Fatalf("event %d failed: %v", i, results[i].Err)
+		}
+		assertSameProducts(t, productHashes(t, dirs[i]), productHashes(t, ref[i]), fmt.Sprintf("event %d", i))
+	}
+}
+
 // TestRunFleetMemBackendMatchesFS runs the fleet on the in-memory storage
 // plane and checks the materialized products against the fs backend.
 func TestRunFleetMemBackendMatchesFS(t *testing.T) {
 	ref := prepareBatchDirs(t, 2)
-	if _, err := RunFleet(context.Background(), ref, fleetOptions(fleet.Balanced)); err != nil {
+	if _, err := RunFleet(context.Background(), ref, fleetOptions(dataflow.Balanced)); err != nil {
 		t.Fatal(err)
 	}
 	dirs := prepareBatchDirs(t, 2)
-	opts := fleetOptions(fleet.Balanced)
+	opts := fleetOptions(dataflow.Balanced)
 	opts.Storage = storage.BackendMem
 	results, err := RunFleet(context.Background(), dirs, opts)
 	if err != nil {
@@ -100,7 +130,7 @@ func TestRunFleetQuarantinePoisonedRecord(t *testing.T) {
 		backend := backend
 		t.Run(string(backend), func(t *testing.T) {
 			dirs := prepareBatchDirs(t, 3)
-			opts := fleetOptions(fleet.Throughput)
+			opts := fleetOptions(dataflow.Throughput)
 			opts.Storage = backend
 			opts.Observer = obs.New()
 			opts.Retry = RetryPolicy{BaseDelay: 50 * time.Microsecond, MaxDelay: time.Millisecond}
@@ -145,7 +175,7 @@ func TestRunFleetSimulatedPlatform(t *testing.T) {
 		}
 	}
 	dirs := prepareBatchDirs(t, 2)
-	opts := fleetOptions(fleet.Throughput)
+	opts := fleetOptions(dataflow.Throughput)
 	opts.SimProcessors = 8
 	results, err := RunFleet(context.Background(), dirs, opts)
 	if err != nil {
@@ -181,7 +211,7 @@ func TestRunFleetSimulatedPlatform(t *testing.T) {
 // cache restores nodes instead of recomputing them.
 func TestRunFleetWarmActionCache(t *testing.T) {
 	dirs := prepareBatchDirs(t, 2)
-	opts := fleetOptions(fleet.Balanced)
+	opts := fleetOptions(dataflow.Balanced)
 	opts.Cache = CacheConfig{Mode: CachePersistent}
 	if _, err := RunFleet(context.Background(), dirs, opts); err != nil {
 		t.Fatal(err)
@@ -212,7 +242,7 @@ func TestRunFleetCanceledContextDrains(t *testing.T) {
 	dirs := prepareBatchDirs(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, err := RunFleet(ctx, dirs, fleetOptions(fleet.Balanced))
+	results, err := RunFleet(ctx, dirs, fleetOptions(dataflow.Balanced))
 	if err == nil {
 		t.Fatal("canceled fleet reported no error")
 	}
@@ -233,11 +263,11 @@ func TestRunFleetCanceledContextDrains(t *testing.T) {
 }
 
 func TestRunFleetRejectsEmptyAndDuplicates(t *testing.T) {
-	if _, err := RunFleet(context.Background(), nil, fleetOptions(fleet.Balanced)); err == nil {
+	if _, err := RunFleet(context.Background(), nil, fleetOptions(dataflow.Balanced)); err == nil {
 		t.Error("empty fleet accepted")
 	}
 	dirs := prepareBatchDirs(t, 1)
-	if _, err := RunFleet(context.Background(), []string{dirs[0], dirs[0]}, fleetOptions(fleet.Balanced)); err == nil {
+	if _, err := RunFleet(context.Background(), []string{dirs[0], dirs[0]}, fleetOptions(dataflow.Balanced)); err == nil {
 		t.Error("duplicate directory accepted")
 	}
 }
@@ -245,7 +275,7 @@ func TestRunFleetRejectsEmptyAndDuplicates(t *testing.T) {
 // TestRunFleetRegistersGauges checks the scheduler's obs surface end to end.
 func TestRunFleetRegistersGauges(t *testing.T) {
 	dirs := prepareBatchDirs(t, 2)
-	opts := fleetOptions(fleet.Throughput)
+	opts := fleetOptions(dataflow.Throughput)
 	opts.Observer = obs.New()
 	if _, err := RunFleet(context.Background(), dirs, opts); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,6 @@ import (
 	"accelproc/internal/ingest"
 	"accelproc/internal/obs"
 	"accelproc/internal/response"
-	"accelproc/internal/simsched"
 	"accelproc/internal/storage"
 )
 
@@ -401,11 +400,6 @@ type Options struct {
 	// assumes; the simulation is the substitute for the paper's 8-core
 	// platform when the host has fewer.
 	SimProcessors int
-	// ContentionCPU and ContentionIO are the simulated platform's
-	// contention coefficients for compute-bound and I/O-bound loops.
-	// Zero selects the calibrated defaults (0.08 and 0.5).
-	ContentionCPU float64
-	ContentionIO  float64
 
 	// EventWorkers bounds the number of event pipelines RunBatch executes
 	// concurrently; 0 means all available processors.  Run ignores it.
@@ -448,12 +442,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TaperFraction == 0 {
 		o.TaperFraction = 0.05
-	}
-	if o.ContentionCPU == 0 {
-		o.ContentionCPU = simsched.ContentionCPU
-	}
-	if o.ContentionIO == 0 {
-		o.ContentionIO = simsched.ContentionIO
 	}
 	return o
 }

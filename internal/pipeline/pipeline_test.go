@@ -609,12 +609,9 @@ func TestOptionsWithDefaults(t *testing.T) {
 	if o.TaperFraction != 0.05 {
 		t.Errorf("TaperFraction = %g, want 0.05", o.TaperFraction)
 	}
-	if o.ContentionCPU <= 0 || o.ContentionIO <= o.ContentionCPU {
-		t.Errorf("contention defaults = %g, %g", o.ContentionCPU, o.ContentionIO)
-	}
 	// Explicit values survive.
-	o = Options{MetaWorkers: 2, TaperFraction: 0.1, ContentionCPU: 0.2, ContentionIO: 0.9}.withDefaults()
-	if o.MetaWorkers != 2 || o.TaperFraction != 0.1 || o.ContentionCPU != 0.2 || o.ContentionIO != 0.9 {
+	o = Options{MetaWorkers: 2, TaperFraction: 0.1}.withDefaults()
+	if o.MetaWorkers != 2 || o.TaperFraction != 0.1 {
 		t.Errorf("explicit options overridden: %+v", o)
 	}
 }

@@ -268,7 +268,7 @@ func (c *stepGraph) addStep(st planStep) {
 		// a task step each process's nodes into one unit.
 		l := &layer{step: sr, width: 1}
 		if st.strat == StratTask {
-			l.width, l.alpha = c.s.opts.MetaWorkers, c.s.opts.ContentionCPU
+			l.width, l.alpha = c.s.opts.MetaWorkers, simsched.ContentionCPU
 		}
 		var chain []dataflow.NodeID
 		for k, pid := range st.procs {
@@ -421,9 +421,9 @@ func (c *stepGraph) addNode(n node, deps, sdeps []dataflow.NodeID) dataflow.Node
 	}
 	spec := dataflow.Spec{Label: n.label, Run: run}
 	if df := n.df; df != nil {
-		spec.Alpha = s.opts.ContentionIO
+		spec.Alpha = simsched.ContentionIO
 		if Processes[n.pid].Cost == CostHeavyFLOPS {
-			spec.Alpha = s.opts.ContentionCPU
+			spec.Alpha = simsched.ContentionCPU
 		}
 		if df.station != "" {
 			spec.Weight = c.weights[df.i]
@@ -603,7 +603,7 @@ func (c *stepGraph) phases(pid ProcessID, strat Strategy) []phase {
 		return []phase{{serial: true, units: []unit{{run: body}}}}
 	}
 	tempFolder := strat == StratTempFolder && !s.opts.NoTempFolders
-	io, cpu := s.opts.ContentionIO, s.opts.ContentionCPU
+	io, cpu := simsched.ContentionIO, simsched.ContentionCPU
 	perSignal := func(alpha float64, body func(smformat.SignalKey) error) []phase {
 		var units []unit
 		for _, key := range signals(c.stations) {
@@ -726,7 +726,7 @@ func (c *stepGraph) filterPhases(peaks []seismic.PeakValues) []phase {
 	}
 	return []phase{
 		{serial: true, units: []unit{{run: read}}},
-		{alpha: s.opts.ContentionIO, units: units},
+		{alpha: simsched.ContentionIO, units: units},
 	}
 }
 
@@ -775,7 +775,7 @@ func (c *stepGraph) pickPhases() []phase {
 		return s.writeFilterParams(s.path(smformat.FilterParamsFile), params)
 	}
 	return []phase{
-		{alpha: s.opts.ContentionCPU, units: units},
+		{alpha: simsched.ContentionCPU, units: units},
 		{serial: true, units: []unit{{run: write}}},
 	}
 }
@@ -800,7 +800,7 @@ func (c *stepGraph) tempPhases(pid ProcessID, peaks []seismic.PeakValues) []phas
 		// The per-instance work is dominated by reading and writing the
 		// large V1/V2 text payloads, not by the arithmetic, so it contends
 		// like I/O (the paper observes 1.9x-2.0x for these stages on 8 cores).
-		ph := phase{task: step.name, serial: step.sequential, alpha: s.opts.ContentionIO}
+		ph := phase{task: step.name, serial: step.sequential, alpha: simsched.ContentionIO}
 		for _, j := range jobs {
 			ph.units = append(ph.units, unit{j.rc.station, func() error { return step.run(s, j) }})
 		}
