@@ -62,18 +62,21 @@ fma:
 # Schedule independence: tests whose outcome once depended on goroutine
 # timing, the staged variants' products and span tree now that they run on
 # the concurrent dataflow executor, and the fleet's products on the shared
-# worker loop, streamed and not, 30 runs each.
+# worker loop, streamed and not, and the retention checks, which read
+# reachability after a forced GC, 30 runs each.
 schedule:
 	$(GO) test -count=30 -run 'TestPipelinedTargetedChaosMatchesFullParallel|TestArtifactCacheCounters|TestVariantsProduceIdenticalOutputs|TestSpanTreeMatchesTimings|TestRunFleetMatchesIndividualRuns|TestRunFleetStreamingMatchesRun' ./internal/pipeline/
 	$(GO) test -count=30 -run 'TestRunTraceAndMetrics' ./cmd/smproc/
+	$(GO) test -count=30 -run 'TestRunReleasesFinishedJob' ./internal/dataflow/
+	$(GO) test -count=30 -run 'TestRunFleetReleasesFinishedEvents|TestRunBatchReleasesFinishedEvents|TestMemoRelease' ./internal/pipeline/
 
 # The parallel runtime, the dataflow scheduler (one worker loop for single
 # graphs and fleets), and the pipeline drivers carry the concurrency and
 # the occupancy instrumentation; they must stay race-clean, and so must the
-# shared artifact store, the ingest plane, the storage plane, and the
-# streaming chunk plane under them.
+# shared artifact store, the ingest plane, the storage plane, the
+# streaming chunk plane, and the mutex-guarded FFT table cache under them.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/dataflow/... ./internal/pipeline/... ./internal/ingest/... ./internal/artifact/... ./internal/storage/... ./internal/stream/...
+	$(GO) test -race ./internal/parallel/... ./internal/dataflow/... ./internal/pipeline/... ./internal/ingest/... ./internal/artifact/... ./internal/storage/... ./internal/stream/... ./internal/dsp/...
 
 # Seeded chaos soak: the fault-injection suite (rate sweep, poisoned-record
 # batch, retry/quarantine engine) under the race detector, with the artifact

@@ -42,6 +42,9 @@ rm -rf "$fmadir"
 echo "== schedule independence (tests whose outcome once depended on goroutine timing, the staged variants' products and span tree on the concurrent dataflow executor, and the fleet's products on the shared worker loop, streamed and not, 30 runs each) =="
 go test -count=30 -run 'TestPipelinedTargetedChaosMatchesFullParallel|TestArtifactCacheCounters|TestVariantsProduceIdenticalOutputs|TestSpanTreeMatchesTimings|TestRunFleetMatchesIndividualRuns|TestRunFleetStreamingMatchesRun' ./internal/pipeline/
 go test -count=30 -run 'TestRunTraceAndMetrics' ./cmd/smproc/
+echo "== retention (what a finished job or a drained graph leaves reachable, checked after a forced GC, 30 runs each) =="
+go test -count=30 -run 'TestRunReleasesFinishedJob' ./internal/dataflow/
+go test -count=30 -run 'TestRunFleetReleasesFinishedEvents|TestRunBatchReleasesFinishedEvents|TestMemoRelease' ./internal/pipeline/
 
 echo "== bench smoke (every benchmark compiles and runs once) =="
 go test -bench . -benchtime=1x -run '^$' ./...
@@ -54,8 +57,8 @@ go test -run '^$' -fuzz 'FuzzCSVDecode' -fuzztime 5s ./internal/ingest/
 go test -run '^$' -fuzz 'FuzzJournalParse' -fuzztime 5s ./internal/pipeline/
 go test -run '^$' -fuzz 'FuzzActionManifest' -fuzztime 5s ./internal/artifact/
 
-echo "== race (parallel runtime + dataflow scheduler, single graphs and fleets + pipeline drivers + ingest plane + artifact store + storage plane + streaming chunk plane) =="
-go test -race ./internal/parallel/... ./internal/dataflow/... ./internal/pipeline/... ./internal/ingest/... ./internal/artifact/... ./internal/storage/... ./internal/stream/...
+echo "== race (parallel runtime + dataflow scheduler, single graphs and fleets + pipeline drivers + ingest plane + artifact store + storage plane + streaming chunk plane + the FFT table cache) =="
+go test -race ./internal/parallel/... ./internal/dataflow/... ./internal/pipeline/... ./internal/ingest/... ./internal/artifact/... ./internal/storage/... ./internal/stream/... ./internal/dsp/...
 
 echo "== chaos (seeded fault-injection soak, artifact cache enabled) =="
 go test -race -count=1 -run 'Chaos|Partial|Quarantine|RetryOp|StageMove' ./internal/pipeline/... ./internal/faults/...

@@ -54,6 +54,9 @@ type Store struct {
 	mu      sync.RWMutex
 	entries map[string]entry
 	gen     func(path string) (gen any, size int64, ok bool)
+	// bytes sums the live entries' file sizes; peak is its high-water mark.
+	// Both are guarded by mu.
+	bytes, peak int64
 
 	// Lifetime hit/miss totals, always tracked (Counts), independent of the
 	// optional observer counters below.
@@ -118,8 +121,24 @@ func (s *Store) Put(path string, value any) {
 		return
 	}
 	s.mu.Lock()
-	s.entries[path] = entry{value: value, gen: g, size: size}
+	s.set(path, entry{value: value, gen: g, size: size})
 	s.mu.Unlock()
+}
+
+// set stores e under path and del drops path's entry, keeping the byte
+// accounting; the caller holds mu.
+func (s *Store) set(path string, e entry) {
+	s.del(path)
+	s.entries[path] = e
+	s.bytes += e.size
+	s.peak = max(s.peak, s.bytes)
+}
+
+func (s *Store) del(path string) {
+	if e, ok := s.entries[path]; ok {
+		s.bytes -= e.size
+		delete(s.entries, path)
+	}
 }
 
 // Get returns the cached decoded value for path if the file's current
@@ -179,7 +198,7 @@ func (s *Store) Invalidate(path string) {
 		return
 	}
 	s.mu.Lock()
-	delete(s.entries, path)
+	s.del(path)
 	s.mu.Unlock()
 }
 
@@ -193,7 +212,7 @@ func (s *Store) InvalidateDir(dir string) {
 	s.mu.Lock()
 	for p := range s.entries {
 		if p == dir || strings.HasPrefix(p, prefix) {
-			delete(s.entries, p)
+			s.del(p)
 		}
 	}
 	s.mu.Unlock()
@@ -208,10 +227,10 @@ func (s *Store) Rename(oldpath, newpath string) {
 	}
 	s.mu.Lock()
 	if e, ok := s.entries[oldpath]; ok {
-		delete(s.entries, oldpath)
-		s.entries[newpath] = e
+		s.del(oldpath)
+		s.set(newpath, e)
 	} else {
-		delete(s.entries, newpath)
+		s.del(newpath)
 	}
 	s.mu.Unlock()
 }
@@ -225,11 +244,23 @@ func (s *Store) Clone(src, dst string) {
 	}
 	s.mu.Lock()
 	if e, ok := s.entries[src]; ok {
-		s.entries[dst] = e
+		s.set(dst, e)
 	} else {
-		delete(s.entries, dst)
+		s.del(dst)
 	}
 	s.mu.Unlock()
+}
+
+// PeakBytes reports the high-water mark, over the store's lifetime, of the
+// summed file sizes of its live entries: the memo's footprint in the bytes
+// its entries decode, counting a hardlinked clone once per name.
+func (s *Store) PeakBytes() int64 {
+	if s == nil {
+		return 0
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.peak
 }
 
 // Len reports the number of live entries (for tests and introspection).

@@ -278,3 +278,44 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPeakBytesTracksLiveEntries checks the byte accounting behind
+// PeakBytes through every mutation: a Put replacing an entry counts its new
+// size only, a rename moves the bytes, a clone adds a second name's, and
+// invalidation frees them; the peak keeps the high-water mark.
+func TestPeakBytesTracksLiveEntries(t *testing.T) {
+	s := NewMemo(nil)
+	dir := t.TempDir()
+	a := writeTemp(t, dir, "a.v2", "1234")      // 4 bytes
+	b := writeTemp(t, dir, "b.v2", "123456789") // 9 bytes
+	live := func() int64 {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.bytes
+	}
+	s.Put(a, 1)
+	s.Put(a, 2) // replaces, not adds
+	s.Put(b, 3)
+	if got := live(); got != 13 {
+		t.Fatalf("live bytes = %d, want 13", got)
+	}
+	c := filepath.Join(dir, "c.v2")
+	if err := os.Rename(b, c); err != nil {
+		t.Fatal(err)
+	}
+	s.Rename(b, c)
+	if got := live(); got != 13 {
+		t.Fatalf("live bytes after rename = %d, want 13", got)
+	}
+	s.Clone(a, filepath.Join(dir, "a-link.v2"))
+	if got, peak := live(), s.PeakBytes(); got != 17 || peak != 17 {
+		t.Fatalf("after clone: live %d peak %d, want 17 and 17", got, peak)
+	}
+	s.InvalidateDir(dir)
+	if got, peak := live(), s.PeakBytes(); got != 0 || peak != 17 || s.Len() != 0 {
+		t.Fatalf("after InvalidateDir: live %d peak %d len %d, want 0, 17, 0", got, peak, s.Len())
+	}
+	if (*Store)(nil).PeakBytes() != 0 {
+		t.Fatal("nil store reports a footprint")
+	}
+}

@@ -63,6 +63,7 @@ type CacheReport struct {
 	Mode            string `json:"mode"`
 	MemoHits        int64  `json:"memo_hits,omitempty"`
 	MemoMisses      int64  `json:"memo_misses,omitempty"`
+	MemoPeakBytes   int64  `json:"memo_peak_bytes,omitempty"`
 	ActionHits      int64  `json:"action_hits,omitempty"`
 	ActionMisses    int64  `json:"action_misses,omitempty"`
 	ActionEvictions int64  `json:"action_evictions,omitempty"`
@@ -296,6 +297,7 @@ func NewReport(label string, cfg Config, results []EventResult, checks []string)
 			Mode:            mode.String(),
 			MemoHits:        cs.MemoHits,
 			MemoMisses:      cs.MemoMisses,
+			MemoPeakBytes:   cs.MemoPeakBytes,
 			ActionHits:      cs.ActionHits,
 			ActionMisses:    cs.ActionMisses,
 			ActionEvictions: cs.ActionEvictions,

@@ -184,6 +184,9 @@ func (h *readyHeap) Pop() any {
 	old := *h
 	n := len(old)
 	x := old[n-1]
+	// Clear the vacated slot: a stale pointer there would keep the node's
+	// Run closure, and everything it reaches, alive for the heap's lifetime.
+	old[n-1] = nil
 	*h = old[:n-1]
 	return x
 }

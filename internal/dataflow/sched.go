@@ -389,8 +389,13 @@ func (r *run) release(j *job, ready, skipped []NodeID, now time.Duration) {
 }
 
 // finish runs the job's Finish unlocked and releases its admission slot.
+// It first drops the job's graph, tracker and Build/Finish closures: the
+// scheduler keeps only the job's Result, so a finished job's state is
+// collectable while the rest of the run drains.
 func (r *run) finish(j *job, err error) {
-	if f := j.spec.Finish; f != nil {
+	f := j.spec.Finish
+	j.spec, j.tr, j.ready = Job{}, nil, nil
+	if f != nil {
 		r.mu.Unlock()
 		err = f(err)
 		r.mu.Lock()

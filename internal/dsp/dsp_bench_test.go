@@ -114,6 +114,12 @@ func BenchmarkDetrend(b *testing.B) {
 // buffers allocate nothing (pow2 and chirp-z alike), and an amplitude
 // spectrum allocates only its returned slice.
 func TestFFTSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		// The race detector drops pooled scratch buffers at random, so the
+		// steady state this test pins does not exist under -race; the plain
+		// test run checks it.
+		t.Skip("allocation counts do not hold under the race detector")
+	}
 	x := randSignal(7300) // non-power-of-two: exercises the chirp-z path
 	buf := make([]complex128, len(x))
 	FFTRealInto(buf, x) // build the n=7300 tables and warm the scratch pool

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"runtime"
 	"sync"
 )
 
@@ -171,10 +172,11 @@ func radix2(x []complex128, inverse bool) {
 // bluesteinTab holds the length-dependent constants of the chirp-z
 // transform: the chirp sequence and the forward transform of the
 // conjugate-chirp convolution filter.  Both depend only on (n, inverse), so
-// they are built once per distinct length and shared — record lengths repeat
-// across components and stations, and rebuilding the filter spectrum costs
-// two of the three radix-2 passes of a transform.
+// they are built once per length and shared — record lengths repeat across
+// components and stations, and rebuilding the filter spectrum costs two of
+// the three radix-2 passes of a transform.
 type bluesteinTab struct {
+	key   bluesteinKey
 	m     int          // power-of-two convolution length
 	chirp []complex128 // w[k] = exp(sign*i*pi*k^2/n), length n
 	bhat  []complex128 // forward FFT of the conjugate-chirp filter, length m
@@ -185,16 +187,67 @@ type bluesteinKey struct {
 	inverse bool
 }
 
-var bluesteinTabs sync.Map // map[bluesteinKey]*bluesteinTab
+// bluesteinCap bounds the table cache.  A table holds about 80·n bytes, so
+// an unbounded cache grows with every record length a long-lived process
+// sees; the bound keeps the lengths the workers are transforming now (two
+// per processor) plus a small working set.
+var bluesteinCap = max(8, 2*runtime.GOMAXPROCS(0))
 
+// bluesteinTabs is the table cache.  An evicted length is rebuilt by
+// newBluesteinTab, so results do not depend on what is cached.
+var bluesteinTabs tabCache
+
+// tabCache is a most-recently-used list of at most bluesteinCap tables.
+type tabCache struct {
+	mu  sync.Mutex
+	mru []*bluesteinTab // most recently used first
+}
+
+// get returns the table for key, moving it to the front, or nil.  The
+// caller holds mu.
+func (c *tabCache) get(key bluesteinKey) *bluesteinTab {
+	for i, t := range c.mru {
+		if t.key == key {
+			copy(c.mru[1:i+1], c.mru[:i])
+			c.mru[0] = t
+			return t
+		}
+	}
+	return nil
+}
+
+// bluesteinTabFor returns the table for (n, inverse), building it on a miss
+// outside the lock and evicting the least recently used table when the
+// cache is full.
 func bluesteinTabFor(n int, inverse bool) *bluesteinTab {
 	key := bluesteinKey{n, inverse}
-	if v, ok := bluesteinTabs.Load(key); ok {
-		return v.(*bluesteinTab)
+	c := &bluesteinTabs
+	c.mu.Lock()
+	tab := c.get(key)
+	c.mu.Unlock()
+	if tab != nil {
+		return tab
 	}
+	tab = newBluesteinTab(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t := c.get(key); t != nil {
+		return t // a concurrent builder landed first; its table is identical
+	}
+	if len(c.mru) < bluesteinCap {
+		c.mru = append(c.mru, nil)
+	}
+	copy(c.mru[1:], c.mru)
+	c.mru[0] = tab
+	return tab
+}
+
+// newBluesteinTab builds the chirp and filter spectrum of one length.
+func newBluesteinTab(key bluesteinKey) *bluesteinTab {
+	n := key.n
 	m := NextPow2(2*n - 1)
 	sign := -1.0
-	if inverse {
+	if key.inverse {
 		sign = 1.0
 	}
 	// Chirp: w[k] = exp(sign * i*pi*k^2/n).  Compute k^2 mod 2n to keep the
@@ -212,17 +265,15 @@ func bluesteinTabFor(n int, inverse bool) *bluesteinTab {
 		b[m-k] = c
 	}
 	radix2(b, false)
-	// Concurrent builders compute identical tables; keep whichever landed.
-	v, _ := bluesteinTabs.LoadOrStore(key, &bluesteinTab{m: m, chirp: chirp, bhat: b})
-	return v.(*bluesteinTab)
+	return &bluesteinTab{key: key, m: m, chirp: chirp, bhat: b}
 }
 
 // bluestein computes an arbitrary-length DFT as a convolution, using
 // power-of-two FFTs internally (chirp-z transform).  The chirp and filter
-// constants come from the per-length table cache and the convolution buffer
-// from the scratch pool, so repeated transforms of seen lengths allocate
-// nothing — the operation sequence (and hence the result, bit for bit) is
-// unchanged from the uncached form.
+// constants come from the bounded per-length table cache and the
+// convolution buffer from the scratch pool, so repeated transforms of cached
+// lengths allocate nothing — the operation sequence (and hence the result,
+// bit for bit) is unchanged from the uncached form.
 func bluestein(x []complex128, inverse bool) {
 	n := len(x)
 	tab := bluesteinTabFor(n, inverse)

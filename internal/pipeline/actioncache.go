@@ -139,41 +139,36 @@ func (c *stepGraph) nodeAction(pid ProcessID, st string) (artifact.ActionID, boo
 	if s.acache == nil || st == "" {
 		return artifact.ActionID{}, false
 	}
+	names := c.nodeInputNames(pid, st)
+	if len(names) == 0 {
+		return artifact.ActionID{}, false
+	}
 	h := artifact.NewHasher(actionScheme)
 	h.Int(int64(pid))
 	h.String(st)
 	ok := true
 	switch pid {
 	case PSeparateComponents:
-		name, err := s.inputFileOf(st)
-		if err != nil {
-			return artifact.ActionID{}, false
-		}
-		ok = c.hashFiles(h, name)
+		ok = c.hashFiles(h, names...)
 		h.String("format:" + s.opts.Format)
 		h.String("qc:" + s.opts.QC.String())
 	case PDefaultFilter, PCorrectedFilter:
-		ok = c.hashFilterParamsFor(h, st) &&
-			c.hashFiles(h, componentNames(smformat.V1ComponentFileName, st)...)
+		// names[0] is the filter-params file, hashed as the station's slice.
+		ok = c.hashFilterParamsFor(h, st) && c.hashFiles(h, names[1:]...)
 		h.Float(s.opts.TaperFraction)
 		if ins := s.opts.Instrument; ins != nil {
 			h.String(fmt.Sprintf("instrument:%#v", *ins))
 		} else {
 			h.String("instrument:none")
 		}
-	case PFourier, PPlotAccel:
-		ok = c.hashFiles(h, componentNames(smformat.V2FileName, st)...)
+	case PFourier, PPlotAccel, PPlotResponse, PGenerateGEM:
+		ok = c.hashFiles(h, names...)
 	case PPlotFourier, PPickCorners:
 		h.String(fmt.Sprintf("pick:%#v", s.opts.Pick))
-		ok = c.hashFiles(h, componentNames(smformat.FourierFileName, st)...)
+		ok = c.hashFiles(h, names...)
 	case PResponseSpectrum:
 		h.String(fmt.Sprintf("response:%#v", s.opts.Response))
-		ok = c.hashFiles(h, componentNames(smformat.V2FileName, st)...)
-	case PPlotResponse:
-		ok = c.hashFiles(h, componentNames(smformat.ResponseFileName, st)...)
-	case PGenerateGEM:
-		ok = c.hashFiles(h, append(componentNames(smformat.V2FileName, st),
-			componentNames(smformat.ResponseFileName, st)...)...)
+		ok = c.hashFiles(h, names...)
 	default:
 		return artifact.ActionID{}, false
 	}
@@ -181,6 +176,51 @@ func (c *stepGraph) nodeAction(pid ProcessID, st string) (artifact.ActionID, boo
 		return artifact.ActionID{}, false
 	}
 	return h.Sum(), true
+}
+
+// nodeInputNames lists the work-directory files the units of process pid
+// read for station st — for st == "", its event-global units — in the
+// order the action digest folds them in.  The same list feeds the digest
+// and the memo's liveness counts (see stepGraph.countReads), so a reader the
+// digest knows of is a reader the memo waits for.  Nil when st's input file
+// is unknown.
+func (c *stepGraph) nodeInputNames(pid ProcessID, st string) []string {
+	if st == "" {
+		switch pid {
+		case PDefaultFilter, PCorrectedFilter, PPickCorners:
+			// The direct filters' corner read; #10's read-modify-write.
+			return []string{smformat.FilterParamsFile}
+		}
+		return nil
+	}
+	switch pid {
+	case PSeparateComponents, PSeparateComps2:
+		if name := c.inputFile(st); name != "" {
+			return []string{name}
+		}
+		return nil
+	case PDefaultFilter, PCorrectedFilter:
+		return append([]string{smformat.FilterParamsFile}, componentNames(smformat.V1ComponentFileName, st)...)
+	case PPlotUncorrected:
+		return componentNames(smformat.V1ComponentFileName, st)
+	case PFourier, PPlotAccel, PResponseSpectrum:
+		return componentNames(smformat.V2FileName, st)
+	case PPlotFourier, PPickCorners:
+		return componentNames(smformat.FourierFileName, st)
+	case PPlotResponse:
+		return componentNames(smformat.ResponseFileName, st)
+	case PGenerateGEM:
+		return append(componentNames(smformat.V2FileName, st), componentNames(smformat.ResponseFileName, st)...)
+	}
+	return nil
+}
+
+// inputFile returns station st's input file name, "" if the gathered list
+// has none.  The list is final once stage I has run, before any graph that
+// reads records is compiled, so it is read once per graph.
+func (c *stepGraph) inputFile(st string) string {
+	c.inputsOnce.Do(func() { c.inputs, _ = c.s.inputsByStation() })
+	return c.inputs[st]
 }
 
 // componentNames expands one per-component name helper over the three

@@ -114,6 +114,11 @@ func ParseCacheFlag(s string) (CacheConfig, error) {
 type CacheStats struct {
 	// MemoHits and MemoMisses count decoded-artifact memo lookups.
 	MemoHits, MemoMisses int64
+	// MemoPeakBytes is the memo's high-water footprint: the largest summed
+	// file size of its live entries at any point of the run.  It is exact
+	// for a given schedule, so serial runs (Workers 1, or the simulated
+	// platform) reproduce it to the byte.
+	MemoPeakBytes int64
 	// ActionHits, ActionMisses, and ActionEvictions count persistent
 	// action-cache restores, failed lookups (including corruption drops),
 	// and size-bound evictions; zero unless Mode is CachePersistent.
@@ -123,7 +128,7 @@ type CacheStats struct {
 }
 
 // Accumulate folds another run's counters into s (summing the counts,
-// keeping the largest resident-bytes reading), for harnesses aggregating
+// keeping the largest byte readings), for harnesses aggregating
 // stats over several runs.
 func (s *CacheStats) Accumulate(o CacheStats) {
 	s.MemoHits += o.MemoHits
@@ -131,7 +136,6 @@ func (s *CacheStats) Accumulate(o CacheStats) {
 	s.ActionHits += o.ActionHits
 	s.ActionMisses += o.ActionMisses
 	s.ActionEvictions += o.ActionEvictions
-	if o.ActionBytes > s.ActionBytes {
-		s.ActionBytes = o.ActionBytes
-	}
+	s.MemoPeakBytes = max(s.MemoPeakBytes, o.MemoPeakBytes)
+	s.ActionBytes = max(s.ActionBytes, o.ActionBytes)
 }

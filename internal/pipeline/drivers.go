@@ -97,15 +97,18 @@ func (s *state) finishRun(variant Variant, start time.Duration, err error) (Resu
 	// surviving stations count — quarantined ones are reported separately.
 	s.records.Add(float64(3 * len(stations)))
 	resident, peak := s.ws.ResidentBytes()
+	memoPeak := s.arts.PeakBytes()
 	if o := s.opts.Observer; o != nil {
 		o.Gauge("storage_bytes_resident").Set(float64(resident))
 		o.Gauge("storage_bytes_resident_peak").Set(float64(peak))
+		o.Gauge("cache_memo_bytes").Set(float64(memoPeak))
 	}
 	quarantined := s.quarantinedOutcomes()
 	s.runSpan.EndCharged(total, obs.Int("stations", int64(len(stations))),
 		obs.Int("quarantined", int64(len(quarantined))))
 	var cs CacheStats
 	cs.MemoHits, cs.MemoMisses = s.arts.Counts()
+	cs.MemoPeakBytes = memoPeak
 	cs.ActionHits, cs.ActionMisses, cs.ActionEvictions = s.acache.Counts()
 	cs.ActionBytes = s.acache.Bytes()
 	return Result{

@@ -181,6 +181,10 @@ func (e *fleetEvent) finish(err error) error {
 	e.s.faultsCtr.Add(float64(e.s.chaos.Injected()))
 	e.s.fail(nil)
 	e.res.Result = res
+	// The event is done: drop its run state and graph, memo included, so
+	// the fleet does not keep every finished event alive until RunFleet
+	// returns.
+	e.s, e.b = nil, nil
 	return ferr
 }
 

@@ -193,8 +193,16 @@ func newState(ctx context.Context, dir string, opts Options) (*state, error) {
 		s.sweptCtr = o.Counter("stale_scratch_swept")
 		o.Counter("scrub_orphans_removed").Add(float64(s.acache.SweptOrphans()))
 	}
+	if newStateHook != nil {
+		newStateHook(s)
+	}
 	return s, nil
 }
+
+// newStateHook, when set, sees every run state newState creates.  Tests use
+// it to inspect a run's memo after the run, and to check that a batch or
+// fleet keeps no finished event's state alive.
+var newStateHook func(*state)
 
 // fsAt returns the storage surface for record-scoped staging operations of
 // the given stage tag and station: the workspace wrapped with record-scoped

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -182,6 +183,17 @@ type stepGraph struct {
 	ends     []bool          // whether a node ends its unit, per node ID
 	scratch  []string        // temp-folder scratch dirs, removed if the run fails
 
+	// The memo's liveness (see countReads): how many nodes not yet
+	// completed may read each work-directory path through the memo, and
+	// the paths each node reads, by node ID.
+	liveMu  sync.Mutex
+	readers map[string]int
+	reads   [][]string
+
+	// The gathered input files by station (see inputFile).
+	inputsOnce sync.Once
+	inputs     map[string]string
+
 	// The state record units leave for their process's event-global
 	// merge, by signal index (three per station): the filters' peaks and
 	// #10's picked corners.  The side channel (actioncache.go) encodes and
@@ -214,7 +226,7 @@ type stepGraph struct {
 // newStepGraph returns an empty graph over stations.
 func (s *state) newStepGraph(stations []string) *stepGraph {
 	return &stepGraph{s: s, g: dataflow.New(), stations: stations, barrier: -1,
-		peaks: map[ProcessID][]seismic.PeakValues{}}
+		peaks: map[ProcessID][]seismic.PeakValues{}, readers: map[string]int{}}
 }
 
 // slotMonitor passes the pool's worker accounting on to the run's worker
@@ -358,7 +370,8 @@ type node struct {
 // producers sdeps (streaming runs only), and returns its ID.  The body is
 // wrapped with the width slot, the cancellation check, the quarantine skip
 // per unit, cost measurement, and the fail-fast cancellation of the run on
-// a failure graceful degradation could not absorb.  A Pipelined node also
+// a failure graceful degradation could not absorb, and the release of the
+// memo entries it was the last reader of.  A Pipelined node also
 // gets its node: span and, as a per-(process, record) node, the record
 // rules of openNode and closeNode.
 func (c *stepGraph) addNode(n node, deps, sdeps []dataflow.NodeID) dataflow.NodeID {
@@ -367,7 +380,9 @@ func (c *stepGraph) addNode(n node, deps, sdeps []dataflow.NodeID) dataflow.Node
 	c.durs = append(c.durs, 0)
 	c.pids = append(c.pids, n.pid)
 	c.ends = append(c.ends, false)
+	c.reads = append(c.reads, c.countReads(n))
 	run := func() (err error) {
+		defer c.release(id)
 		// A unit holds its slot of the layer's width from its chain's first
 		// node to its last (or to the node that fails: the rest are skipped).
 		if l := n.layer; l != nil && l.sem != nil {
@@ -436,6 +451,51 @@ func (c *stepGraph) addNode(n node, deps, sdeps []dataflow.NodeID) dataflow.Node
 	return c.g.Add(spec, dedupNodes(deps)...)
 }
 
+// countReads registers n, the node being added, as a reader of every
+// work-directory path its units read through the memo (nodeInputNames) and
+// returns those paths.  Each node counts on its own, so a record whose
+// process runs as several nodes (a temp-folder job's four steps, a direct
+// filter's three signals) keeps its inputs until the last of them.
+func (c *stepGraph) countReads(n node) []string {
+	s := c.s
+	if s.arts == nil {
+		return nil
+	}
+	var paths []string
+	for _, u := range n.units {
+		for _, name := range c.nodeInputNames(n.pid, u.station) {
+			if p := s.path(name); !slices.Contains(paths, p) {
+				paths = append(paths, p)
+			}
+		}
+	}
+	for _, p := range paths {
+		c.readers[p]++
+	}
+	return paths
+}
+
+// release retires node id, done or failed, as a reader: a path whose last
+// reader it was is dropped from the memo, since no node reads it again.
+// Writers precede the readers of what they write in every graph, so no
+// write lands on a path after its last reader, and a drained graph leaves
+// the memo empty but for the entries of scratch folders KeepTempDirs keeps.
+// A failed node's skipped dependents never release, so a failed run keeps
+// their inputs until its state goes.
+func (c *stepGraph) release(id dataflow.NodeID) {
+	if len(c.reads[id]) == 0 {
+		return
+	}
+	c.liveMu.Lock()
+	defer c.liveMu.Unlock()
+	for _, p := range c.reads[id] {
+		c.readers[p]--
+		if c.readers[p] == 0 {
+			c.s.arts.Invalidate(p)
+		}
+	}
+}
+
 // dedupNodes sorts and deduplicates a dependency list in place.
 func dedupNodes(deps []dataflow.NodeID) []dataflow.NodeID {
 	if len(deps) < 2 {
@@ -465,6 +525,7 @@ func (c *stepGraph) closeLayer(l *layer) {
 	c.durs = append(c.durs, 0)
 	c.pids = append(c.pids, 0)
 	c.ends = append(c.ends, false)
+	c.reads = append(c.reads, nil)
 	c.barrier = c.g.Add(dataflow.Spec{Label: "barrier", Run: func() error {
 		c.endLayer(i)
 		return nil
