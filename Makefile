@@ -105,8 +105,9 @@ crash-resume:
 	$(GO) test -count=1 -run 'CrashResume|CrashKills|CrashUnarmed|Resume|Journal|Scrub' ./internal/pipeline/... ./internal/faults/... ./internal/artifact/...
 
 # Short fuzz smoke over the format round-trip fuzzers, the foreign-format
-# ingest decoders, and the crash-recovery state parsers (run journal,
-# action-cache manifest); the CI gate runs the same targets for ~5s each.
+# ingest decoders, the crash-recovery state parsers (run journal,
+# action-cache manifest), and the number codecs against strconv; the CI
+# gate runs the same targets for ~5s each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzV1RoundTrip' -fuzztime 5s ./internal/smformat/
 	$(GO) test -run '^$$' -fuzz 'FuzzGEMRoundTrip' -fuzztime 5s ./internal/smformat/
@@ -114,6 +115,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCSVDecode' -fuzztime 5s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz 'FuzzJournalParse' -fuzztime 5s ./internal/pipeline/
 	$(GO) test -run '^$$' -fuzz 'FuzzActionManifest' -fuzztime 5s ./internal/artifact/
+	$(GO) test -run '^$$' -fuzz 'FuzzAppendE17' -fuzztime 5s ./internal/numtext/
+	$(GO) test -run '^$$' -fuzz 'FuzzAppendFixed2' -fuzztime 5s ./internal/numtext/
+	$(GO) test -run '^$$' -fuzz 'FuzzParseFloat' -fuzztime 5s ./internal/numtext/
 
 # Fleet saturation smoke: the multi-event scheduler benchmark on a tiny
 # queue, with the acceptance criteria evaluated (throughput gain, p99

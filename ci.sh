@@ -49,13 +49,16 @@ go test -count=30 -run 'TestRunFleetReleasesFinishedEvents|TestRunBatchReleasesF
 echo "== bench smoke (every benchmark compiles and runs once) =="
 go test -bench . -benchtime=1x -run '^$' ./...
 
-echo "== fuzz smoke (format + ingest + recovery-state parsers, ~5s each) =="
+echo "== fuzz smoke (format + ingest + recovery-state parsers + number codecs against strconv, ~5s each) =="
 go test -run '^$' -fuzz 'FuzzV1RoundTrip' -fuzztime 5s ./internal/smformat/
 go test -run '^$' -fuzz 'FuzzGEMRoundTrip' -fuzztime 5s ./internal/smformat/
 go test -run '^$' -fuzz 'FuzzV1ADecode' -fuzztime 5s ./internal/ingest/
 go test -run '^$' -fuzz 'FuzzCSVDecode' -fuzztime 5s ./internal/ingest/
 go test -run '^$' -fuzz 'FuzzJournalParse' -fuzztime 5s ./internal/pipeline/
 go test -run '^$' -fuzz 'FuzzActionManifest' -fuzztime 5s ./internal/artifact/
+go test -run '^$' -fuzz 'FuzzAppendE17' -fuzztime 5s ./internal/numtext/
+go test -run '^$' -fuzz 'FuzzAppendFixed2' -fuzztime 5s ./internal/numtext/
+go test -run '^$' -fuzz 'FuzzParseFloat' -fuzztime 5s ./internal/numtext/
 
 echo "== race (parallel runtime + dataflow scheduler, single graphs and fleets + pipeline drivers + ingest plane + artifact store + storage plane + streaming chunk plane + the FFT table cache) =="
 go test -race ./internal/parallel/... ./internal/dataflow/... ./internal/pipeline/... ./internal/ingest/... ./internal/artifact/... ./internal/storage/... ./internal/stream/... ./internal/dsp/...

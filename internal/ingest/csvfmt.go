@@ -3,9 +3,9 @@ package ingest
 import (
 	"bufio"
 	"io"
-	"strconv"
 	"strings"
 
+	"accelproc/internal/numtext"
 	"accelproc/internal/seismic"
 	"accelproc/internal/smformat"
 )
@@ -28,7 +28,7 @@ func (csvFormat) Extension() string { return ".csv" }
 
 func (csvFormat) Sniff(prefix []byte) bool { return hasMagicLine(prefix, csvMagic) }
 
-func csvFloat(v float64) string { return strconv.FormatFloat(v, 'e', 17, 64) }
+func csvFloat(v float64) string { return string(numtext.AppendE17(nil, v)) }
 
 func (csvFormat) Encode(w io.Writer, rec Record) error {
 	bw := bufio.NewWriter(w)
@@ -79,7 +79,7 @@ func (csvFormat) Encode(w io.Writer, rec Record) error {
 					}
 				}
 				if row < len(rec.Accel[ci]) {
-					if err := write(csvFloat(rec.Accel[ci][row])); err != nil {
+					if _, err := bw.Write(numtext.AppendE17(bw.AvailableBuffer(), rec.Accel[ci][row])); err != nil {
 						return err
 					}
 				}
@@ -137,7 +137,7 @@ func (csvFormat) Decode(r io.Reader) (Record, error) {
 	if v, ok = csvMeta(azline, "azimuth"); !ok {
 		return Record{}, decodeErrf("csv", line, "got %q, want %q comment", azline, "# azimuth: ...")
 	}
-	if rec.Azimuth, err = strconv.ParseFloat(v, 64); err != nil {
+	if rec.Azimuth, err = numtext.ParseFloat(v); err != nil {
 		return Record{}, decodeErrf("csv", line, "bad azimuth %q: %v", v, err)
 	}
 	dtline, err := next()
@@ -174,7 +174,7 @@ func (csvFormat) Decode(r io.Reader) (Record, error) {
 			}
 		}
 		cols[i] = ci
-		x, err := strconv.ParseFloat(strings.TrimSpace(dts[i]), 64)
+		x, err := numtext.ParseFloat(strings.TrimSpace(dts[i]))
 		if err != nil {
 			return Record{}, decodeErrf("csv", line, "bad dt %q: %v", dts[i], err)
 		}
@@ -194,7 +194,7 @@ func (csvFormat) Decode(r io.Reader) (Record, error) {
 			if cell == "" {
 				continue // a shorter column's trailing padding
 			}
-			x, err := strconv.ParseFloat(cell, 64)
+			x, err := numtext.ParseFloat(cell)
 			if err != nil {
 				return Record{}, decodeErrf("csv", line, "bad sample %q: %v", cell, err)
 			}

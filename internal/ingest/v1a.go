@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"accelproc/internal/numtext"
 	"accelproc/internal/seismic"
 	"accelproc/internal/smformat"
 )
@@ -41,7 +42,7 @@ func v1aHeader(w *bufio.Writer, key, value string) error {
 	return err
 }
 
-func v1aFloat(v float64) string { return strconv.FormatFloat(v, 'e', 17, 64) }
+func v1aFloat(v float64) string { return string(numtext.AppendE17(nil, v)) }
 
 func (v1aFormat) Encode(w io.Writer, rec Record) error {
 	bw := bufio.NewWriter(w)
@@ -77,14 +78,26 @@ func (v1aFormat) Encode(w io.Writer, rec Record) error {
 			if err := v1aHeader(bw, "NPTS", strconv.Itoa(len(rec.Accel[ci]))); err != nil {
 				return err
 			}
+			// Each cell is its 'e'/17 text right-aligned in v1aCellWidth
+			// columns (as "%*s" would), appended into bw's free space.
+			var cell [32]byte
 			for i, v := range rec.Accel[ci] {
-				if _, err := fmt.Fprintf(bw, "%*s", v1aCellWidth, v1aFloat(v)); err != nil {
-					return err
-				}
-				if (i+1)%v1aPerLine == 0 || i == len(rec.Accel[ci])-1 {
-					if err := bw.WriteByte('\n'); err != nil {
+				if bw.Available() < 2*v1aCellWidth {
+					if err := bw.Flush(); err != nil {
 						return err
 					}
+				}
+				buf := bw.AvailableBuffer()
+				text := numtext.AppendE17(cell[:0], v)
+				for pad := v1aCellWidth - len(text); pad > 0; pad-- {
+					buf = append(buf, ' ')
+				}
+				buf = append(buf, text...)
+				if (i+1)%v1aPerLine == 0 || i == len(rec.Accel[ci])-1 {
+					buf = append(buf, '\n')
+				}
+				if _, err := bw.Write(buf); err != nil {
+					return err
 				}
 			}
 		}
@@ -149,7 +162,7 @@ func (s *v1aScanner) headerFloat(key string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	x, err := strconv.ParseFloat(v, 64)
+	x, err := numtext.ParseFloat(v)
 	if err != nil {
 		return 0, decodeErrf("v1a", s.line, "%s: bad number %q", key, v)
 	}
@@ -178,7 +191,7 @@ func (s *v1aScanner) values(npts int) ([]float64, error) {
 			if cell == "" {
 				return nil, decodeErrf("v1a", s.line, "empty sample cell at column %d", pos)
 			}
-			x, err := strconv.ParseFloat(cell, 64)
+			x, err := numtext.ParseFloat(cell)
 			if err != nil {
 				return nil, decodeErrf("v1a", s.line, "bad sample %q: %v", cell, err)
 			}

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"accelproc/internal/numtext"
 )
 
 // Page dimensions in PostScript points (US letter).
@@ -219,6 +221,10 @@ func drawPanel(w *bufio.Writer, p Plot, f frameRect) error {
 	return nil
 }
 
+// drawPolyline writes one "x y M" or "x y L" line per plotted sample.  The
+// lines are appended straight into w's free buffer space, coordinates in
+// %.2f form through numtext.AppendFixed2, so a sample costs no fmt call
+// and no boxed argument.
 func drawPolyline(w *bufio.Writer, f frameRect, xr, yr axisRange, s Series) {
 	started := false
 	for i := range s.X {
@@ -226,24 +232,37 @@ func drawPolyline(w *bufio.Writer, f frameRect, xr, yr axisRange, s Series) {
 		ny, oky := yr.norm(s.Y[i])
 		if !okx || !oky {
 			if started {
-				fmt.Fprintln(w, "S")
+				w.WriteString("S\n")
 				started = false
 			}
 			continue
 		}
 		px := f.x + clamp01(nx)*f.width
 		py := f.y + clamp01(ny)*f.height
+		if w.Available() < maxPointLine {
+			w.Flush()
+		}
+		buf := numtext.AppendFixed2(w.AvailableBuffer(), px)
+		buf = append(buf, ' ')
+		buf = numtext.AppendFixed2(buf, py)
 		if !started {
-			fmt.Fprintf(w, "%.2f %.2f M\n", px, py)
+			buf = append(buf, " M\n"...)
 			started = true
 		} else {
-			fmt.Fprintf(w, "%.2f %.2f L\n", px, py)
+			buf = append(buf, " L\n"...)
 		}
+		w.Write(buf)
 	}
 	if started {
-		fmt.Fprintln(w, "S")
+		w.WriteString("S\n")
 	}
 }
+
+// maxPointLine is the room drawPolyline makes before appending a point
+// line: coordinates are clamped to the page (or NaN), so
+// "xxx.xx yyy.yy L\n" needs 16 bytes.  A longer line would still be
+// written whole; its append would just allocate.
+const maxPointLine = 64
 
 func drawTicks(w *bufio.Writer, f frameRect, xr, yr axisRange) {
 	fmt.Fprintln(w, "0 setgray 0.4 setlinewidth 6 F")

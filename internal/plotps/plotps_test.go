@@ -298,6 +298,27 @@ func TestEmittedPostScriptIsStructurallyValid(t *testing.T) {
 	validatePS(t, buf.String())
 }
 
+// BenchmarkWritePage renders a three-panel page of 20,000-point series,
+// the size of a long record's [station].ps, where one line per sample
+// dominates.
+func BenchmarkWritePage(b *testing.B) {
+	s := linSeries(20000)
+	plots := []Plot{
+		{Axes: Axes{Title: "acc", XLabel: "Time (s)", YLabel: "cm/s^2"}, Series: []Series{s}},
+		{Axes: Axes{Title: "vel", XLabel: "Time (s)", YLabel: "cm/s"}, Series: []Series{s}},
+		{Axes: Axes{Title: "disp", XLabel: "Time (s)", YLabel: "cm"}, Series: []Series{s}},
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := WritePage(&buf, "bench", plots); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}
+
 func BenchmarkAccelPage(b *testing.B) {
 	v := sampleV2()
 	var buf bytes.Buffer

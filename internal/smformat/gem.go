@@ -2,11 +2,12 @@ package smformat
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
+	"accelproc/internal/numtext"
 	"accelproc/internal/seismic"
 )
 
@@ -85,9 +86,10 @@ func (g GEM) Write(w io.Writer) error {
 	}
 	bw := bufio.NewWriter(w)
 	err := func() error {
-		bp := linePool.Get().(*[]byte)
-		buf := (*bp)[:0]
-		defer func() { *bp = buf[:0]; linePool.Put(bp) }()
+		buf, err := lineBuf(bw)
+		if err != nil {
+			return err
+		}
 		buf = append(buf, gemMagic...)
 		buf = append(buf, ' ')
 		buf = append(buf, g.Station...)
@@ -101,11 +103,14 @@ func (g GEM) Write(w io.Writer) error {
 			return err
 		}
 		for i := range g.Values {
-			buf = strconv.AppendFloat(buf[:0], g.Abscissa[i], 'e', 17, 64)
+			buf, err := lineBuf(bw)
+			if err != nil {
+				return err
+			}
+			buf = numtext.AppendE17(buf, g.Abscissa[i])
 			buf = append(buf, ' ')
-			buf = strconv.AppendFloat(buf, g.Values[i], 'e', 17, 64)
-			buf = append(buf, '\n')
-			if _, err := bw.Write(buf); err != nil {
+			buf = numtext.AppendE17(buf, g.Values[i])
+			if _, err := bw.Write(append(buf, '\n')); err != nil {
 				return err
 			}
 		}
@@ -161,15 +166,15 @@ func ParseGEM(r io.Reader) (GEM, error) {
 			return GEM{}, fmt.Errorf("smformat: GEM %s: unexpected end of file at row %d", g.Station, i)
 		}
 		line++
-		cols := strings.Fields(sc.Text())
+		cols := bytes.Fields(sc.Bytes())
 		if len(cols) != 2 {
 			return GEM{}, fmt.Errorf("smformat: GEM %s line %d: %d columns, want 2", g.Station, line, len(cols))
 		}
-		a, err := strconv.ParseFloat(cols[0], 64)
+		a, err := numtext.ParseFloat(cols[0])
 		if err != nil {
 			return GEM{}, fmt.Errorf("smformat: GEM %s line %d: %v", g.Station, line, err)
 		}
-		v, err := strconv.ParseFloat(cols[1], 64)
+		v, err := numtext.ParseFloat(cols[1])
 		if err != nil {
 			return GEM{}, fmt.Errorf("smformat: GEM %s line %d: %v", g.Station, line, err)
 		}

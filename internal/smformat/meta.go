@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"accelproc/internal/dsp"
+	"accelproc/internal/numtext"
 	"accelproc/internal/seismic"
 )
 
@@ -80,18 +80,24 @@ func (p FilterParams) Write(w io.Writer) error {
 }
 
 func writeSpecLine(w *bufio.Writer, station, comp string, s dsp.BandPassSpec) error {
-	bp := linePool.Get().(*[]byte)
-	buf := append((*bp)[:0], station...)
+	return writeSignalLine(w, station, comp, s.FSL, s.FPL, s.FPH, s.FSH)
+}
+
+// writeSignalLine writes "<station> <comp> <v>...", the line layout of the
+// filter-parameter and max-values files.
+func writeSignalLine(w *bufio.Writer, station, comp string, vs ...float64) error {
+	buf, err := lineBuf(w)
+	if err != nil {
+		return err
+	}
+	buf = append(buf, station...)
 	buf = append(buf, ' ')
 	buf = append(buf, comp...)
-	for _, f := range [4]float64{s.FSL, s.FPL, s.FPH, s.FSH} {
+	for _, f := range vs {
 		buf = append(buf, ' ')
-		buf = strconv.AppendFloat(buf, f, 'e', 17, 64)
+		buf = numtext.AppendE17(buf, f)
 	}
-	buf = append(buf, '\n')
-	_, err := w.Write(buf)
-	*bp = buf[:0]
-	linePool.Put(bp)
+	_, err = w.Write(append(buf, '\n'))
 	return err
 }
 
@@ -101,7 +107,7 @@ func parseSpecLine(fields []string) (station, comp string, s dsp.BandPassSpec, e
 	}
 	vals := make([]float64, 4)
 	for i := 0; i < 4; i++ {
-		vals[i], err = strconv.ParseFloat(fields[2+i], 64)
+		vals[i], err = numtext.ParseFloat(fields[2+i])
 		if err != nil {
 			return "", "", s, fmt.Errorf("smformat: filter line: %v", err)
 		}
@@ -249,20 +255,10 @@ func (m MaxValues) Write(w io.Writer) error {
 		if err := writeHeaderInt(bw, "NSIGNALS", len(m.Peaks)); err != nil {
 			return err
 		}
-		bp := linePool.Get().(*[]byte)
-		buf := (*bp)[:0]
-		defer func() { *bp = buf[:0]; linePool.Put(bp) }()
 		for _, k := range sortedKeys(m.Peaks) {
 			p := m.Peaks[k]
-			buf = append(buf[:0], k.Station...)
-			buf = append(buf, ' ')
-			buf = append(buf, k.Component.Suffix()...)
-			for _, f := range [6]float64{p.PGA, p.TimePGA, p.PGV, p.TimePGV, p.PGD, p.TimePGD} {
-				buf = append(buf, ' ')
-				buf = strconv.AppendFloat(buf, f, 'e', 17, 64)
-			}
-			buf = append(buf, '\n')
-			if _, err := bw.Write(buf); err != nil {
+			if err := writeSignalLine(bw, k.Station, k.Component.Suffix(),
+				p.PGA, p.TimePGA, p.PGV, p.TimePGV, p.PGD, p.TimePGD); err != nil {
 				return err
 			}
 		}
@@ -303,7 +299,7 @@ func ParseMaxValues(r io.Reader) (MaxValues, error) {
 		}
 		vals := make([]float64, 6)
 		for j := range vals {
-			vals[j], err = strconv.ParseFloat(fields[2+j], 64)
+			vals[j], err = numtext.ParseFloat(fields[2+j])
 			if err != nil {
 				return MaxValues{}, fmt.Errorf("smformat: max-values line: %v", err)
 			}

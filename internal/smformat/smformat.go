@@ -24,41 +24,39 @@ package smformat
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
-	"sync"
+
+	"accelproc/internal/numtext"
 )
 
 // valuesPerLine is the number of numeric samples written per payload line.
 const valuesPerLine = 4
 
-// linePool recycles the scratch buffers the hot writers format lines into,
-// so a steady-state write allocates nothing per value.
-var linePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+// maxLine is the line length the writers make room for before appending a
+// line into the bufio.Writer's free space: a full payload line is at most
+// 4×25+3+1 bytes.  A longer line (a long station name in a metadata file)
+// is still written whole; its append just allocates.
+const maxLine = 256
 
-// writeValues writes a float64 block in fixed-width scientific notation,
-// valuesPerLine per row.  Values are appended into pooled scratch instead of
-// formatted into per-value strings; the emitted bytes are unchanged.
-func writeValues(w *bufio.Writer, data []float64) error {
-	bp := linePool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	defer func() { *bp = buf[:0]; linePool.Put(bp) }()
-	for i, v := range data {
-		buf = buf[:0]
-		if i%valuesPerLine != 0 {
-			buf = append(buf, ' ')
-		}
-		buf = strconv.AppendFloat(buf, v, 'e', 17, 64)
-		if (i+1)%valuesPerLine == 0 || i == len(data)-1 {
-			buf = append(buf, '\n')
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
+// lineBuf returns w's free buffer space to append one line into, flushing
+// first when fewer than maxLine bytes are free.  The caller hands the
+// appended line back with w.Write, which then copies nothing.
+func lineBuf(w *bufio.Writer) ([]byte, error) {
+	if w.Available() < maxLine {
+		if err := w.Flush(); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return w.AvailableBuffer(), nil
+}
+
+// writeValues writes a float64 block in fixed-width scientific notation,
+// valuesPerLine per row.
+func writeValues(w *bufio.Writer, data []float64) error {
+	b := valueBlockWriter{w: w, n: len(data)}
+	return b.slice(data)
 }
 
 // valueScanner incrementally parses whitespace-separated float64 payloads.
@@ -68,7 +66,7 @@ func writeValues(w *bufio.Writer, data []float64) error {
 type valueScanner struct {
 	sc   *bufio.Scanner
 	line int
-	buf  string // current payload line
+	buf  []byte // current payload line, the scanner's own bytes
 	pos  int    // scan offset into buf
 }
 
@@ -94,7 +92,7 @@ func (v *valueScanner) next() (float64, error) {
 			return 0, syntaxErrf(v.line, "unexpected end of file in value block")
 		}
 		v.line++
-		v.buf = v.sc.Text()
+		v.buf = v.sc.Bytes()
 		v.pos = 0
 	}
 	start := v.pos
@@ -102,7 +100,7 @@ func (v *valueScanner) next() (float64, error) {
 		v.pos++
 	}
 	tok := v.buf[start:v.pos]
-	x, err := strconv.ParseFloat(tok, 64)
+	x, err := numtext.ParseFloat(tok)
 	if err != nil {
 		return 0, syntaxErrf(v.line, "bad numeric value %q: %v", tok, err)
 	}
@@ -169,7 +167,7 @@ func (h *headerReader) expectFloat(key string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	x, err := strconv.ParseFloat(v, 64)
+	x, err := numtext.ParseFloat(v)
 	if err != nil {
 		return 0, syntaxErrf(h.line, "%s: bad number %q", key, v)
 	}
@@ -177,12 +175,27 @@ func (h *headerReader) expectFloat(key string) (float64, error) {
 }
 
 func writeHeader(w *bufio.Writer, key, value string) error {
-	_, err := fmt.Fprintf(w, "%s: %s\n", key, value)
+	buf, err := lineBuf(w)
+	if err != nil {
+		return err
+	}
+	buf = append(buf, key...)
+	buf = append(buf, ": "...)
+	buf = append(buf, value...)
+	_, err = w.Write(append(buf, '\n'))
 	return err
 }
 
 func writeHeaderFloat(w *bufio.Writer, key string, v float64) error {
-	return writeHeader(w, key, strconv.FormatFloat(v, 'e', 17, 64))
+	buf, err := lineBuf(w)
+	if err != nil {
+		return err
+	}
+	buf = append(buf, key...)
+	buf = append(buf, ": "...)
+	buf = numtext.AppendE17(buf, v)
+	_, err = w.Write(append(buf, '\n'))
+	return err
 }
 
 func writeHeaderInt(w *bufio.Writer, key string, v int) error {

@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 
+	"accelproc/internal/numtext"
 	"accelproc/internal/seismic"
 )
 
@@ -64,40 +64,43 @@ func WriteFileCreateFS(fsys StreamFS, path string, v StreamWritable) error {
 	return nil
 }
 
-// valueBlockWriter emits one payload block incrementally with writeValues'
-// exact layout: valuesPerLine samples per row, full float64 scientific
-// notation, final newline on the block's last value.
+// valueBlockWriter emits one payload block, possibly in several slices:
+// valuesPerLine samples per row in full float64 scientific notation, a
+// final newline on the block's last value.  Each row is appended straight
+// into the bufio.Writer's free space and handed back with one Write.
 type valueBlockWriter struct {
-	w   *bufio.Writer
-	n   int // block length, fixed up front
-	i   int // values written so far
-	buf []byte
+	w *bufio.Writer
+	n int // block length, fixed up front
+	i int // values written so far
 }
 
 func newValueBlockWriter(w *bufio.Writer, n int) *valueBlockWriter {
-	return &valueBlockWriter{w: w, n: n, buf: make([]byte, 0, 32)}
-}
-
-func (b *valueBlockWriter) value(v float64) error {
-	if b.i >= b.n {
-		return fmt.Errorf("smformat: value block overflow: %d values into a block of %d", b.i+1, b.n)
-	}
-	b.buf = b.buf[:0]
-	if b.i%valuesPerLine != 0 {
-		b.buf = append(b.buf, ' ')
-	}
-	b.buf = strconv.AppendFloat(b.buf, v, 'e', 17, 64)
-	if (b.i+1)%valuesPerLine == 0 || b.i == b.n-1 {
-		b.buf = append(b.buf, '\n')
-	}
-	b.i++
-	_, err := b.w.Write(b.buf)
-	return err
+	return &valueBlockWriter{w: w, n: n}
 }
 
 func (b *valueBlockWriter) slice(vs []float64) error {
-	for _, v := range vs {
-		if err := b.value(v); err != nil {
+	for len(vs) > 0 {
+		buf, err := lineBuf(b.w)
+		if err != nil {
+			return err
+		}
+		// Append up to the end of the current row or of vs.
+		for len(vs) > 0 {
+			if b.i >= b.n {
+				return fmt.Errorf("smformat: value block overflow: %d values into a block of %d", b.i+1, b.n)
+			}
+			if b.i%valuesPerLine != 0 {
+				buf = append(buf, ' ')
+			}
+			buf = numtext.AppendE17(buf, vs[0])
+			vs = vs[1:]
+			b.i++
+			if b.i%valuesPerLine == 0 || b.i == b.n {
+				buf = append(buf, '\n')
+				break
+			}
+		}
+		if _, err := b.w.Write(buf); err != nil {
 			return err
 		}
 	}
