@@ -62,13 +62,17 @@ fma:
 # Schedule independence: tests whose outcome once depended on goroutine
 # timing, the staged variants' products and span tree now that they run on
 # the concurrent dataflow executor, and the fleet's products on the shared
-# worker loop, streamed and not, and the retention checks, which read
-# reachability after a forced GC, 30 runs each.
+# worker loop, streamed and not, the retention checks, which read
+# reachability after a forced GC, and the temp-pool checks (no in-flight
+# temp in a listing, concurrent writers into one directory, no temp left
+# by a failed or aborted write or by any run), 30 runs each.
 schedule:
 	$(GO) test -count=30 -run 'TestPipelinedTargetedChaosMatchesFullParallel|TestArtifactCacheCounters|TestVariantsProduceIdenticalOutputs|TestSpanTreeMatchesTimings|TestRunFleetMatchesIndividualRuns|TestRunFleetStreamingMatchesRun' ./internal/pipeline/
 	$(GO) test -count=30 -run 'TestRunTraceAndMetrics' ./cmd/smproc/
 	$(GO) test -count=30 -run 'TestRunReleasesFinishedJob' ./internal/dataflow/
 	$(GO) test -count=30 -run 'TestRunFleetReleasesFinishedEvents|TestRunBatchReleasesFinishedEvents|TestMemoRelease' ./internal/pipeline/
+	$(GO) test -count=30 -run 'TestListingShowsNoInFlightTemp|TestConcurrentWritersOneDirectory|TestAbortLeavesNothing|TestWriteFailureRemovesTemp' ./internal/storage/
+	$(GO) test -count=30 -run 'TestRunsLeaveNoTempPool|TestCancelledRunLeavesNoTempPool|TestPersistentCacheOnOtherFilesystem' ./internal/pipeline/
 
 # The parallel runtime, the dataflow scheduler (one worker loop for single
 # graphs and fleets), and the pipeline drivers carry the concurrency and

@@ -45,6 +45,9 @@ go test -count=30 -run 'TestRunTraceAndMetrics' ./cmd/smproc/
 echo "== retention (what a finished job or a drained graph leaves reachable, checked after a forced GC, 30 runs each) =="
 go test -count=30 -run 'TestRunReleasesFinishedJob' ./internal/dataflow/
 go test -count=30 -run 'TestRunFleetReleasesFinishedEvents|TestRunBatchReleasesFinishedEvents|TestMemoRelease' ./internal/pipeline/
+echo "== temp pool (no in-flight temp in a listing, concurrent writers into one directory, no temp left by a failed or aborted write or by any run, 30 runs each) =="
+go test -count=30 -run 'TestListingShowsNoInFlightTemp|TestConcurrentWritersOneDirectory|TestAbortLeavesNothing|TestWriteFailureRemovesTemp' ./internal/storage/
+go test -count=30 -run 'TestRunsLeaveNoTempPool|TestCancelledRunLeavesNoTempPool|TestPersistentCacheOnOtherFilesystem' ./internal/pipeline/
 
 echo "== bench smoke (every benchmark compiles and runs once) =="
 go test -bench . -benchtime=1x -run '^$' ./...

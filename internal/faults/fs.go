@@ -231,5 +231,7 @@ func (f chaosFS) Materialize(dir string) error { return f.c.base.Materialize(dir
 
 func (f chaosFS) ResidentBytes() (current, peak int64) { return f.c.base.ResidentBytes() }
 
+func (f chaosFS) Temps() *storage.Temps { return f.c.base.Temps() }
+
 // Interface satisfaction check.
 var _ FS = chaosFS{}

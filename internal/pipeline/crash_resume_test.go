@@ -3,9 +3,11 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -124,6 +126,7 @@ func TestCrashResumeMatrix(t *testing.T) {
 			if !killedBySIGKILL(err) {
 				t.Fatalf("subprocess survived crash point %s (err=%v):\n%s", tc.arm, err, out)
 			}
+			assertTempDebrisOnlyInPool(t, dir, tc.arm)
 
 			opts := crashOptions()
 			opts.Resume = true
@@ -167,8 +170,36 @@ func TestCrashResumeMatrix(t *testing.T) {
 				t.Errorf("crash at %s left no scratch to sweep, expected stranded tmp_* dir", tc.arm)
 			}
 
+			// The resume swept the killed run's pool and removed its own.
+			assertNoTempPool(t, dir, true, tc.arm)
+
 			// The bottom line: products byte-identical to the uninterrupted run.
 			assertSameProducts(t, productHashes(t, dir), ref, tc.arm)
 		})
+	}
+}
+
+// assertTempDebrisOnlyInPool checks what a killed run leaves of its temps:
+// its pool, holding at least one private directory, and no *.tmp file
+// anywhere outside it.
+func assertTempDebrisOnlyInPool(t *testing.T, dir, when string) {
+	t.Helper()
+	if entries, err := os.ReadDir(poolRoot(dir)); err != nil || len(entries) == 0 {
+		t.Errorf("%s: killed run left no temp pool to sweep (%d entries, err=%v)", when, len(entries), err)
+	}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path == poolRoot(dir) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".tmp") {
+			t.Errorf("%s: temp %s outside the pool", when, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

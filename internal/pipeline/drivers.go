@@ -27,9 +27,11 @@ func Run(ctx context.Context, dir string, variant Variant, opts Options) (Result
 		return Result{}, err
 	}
 	defer func() {
-		// Flush the chaos tally into the observer and release the run's
-		// cancel-cause context (a no-op if fail-fast already fired).
+		// Flush the chaos tally into the observer, remove the temp pool, and
+		// release the run's cancel-cause context (a no-op if fail-fast
+		// already fired).
 		s.faultsCtr.Add(float64(s.chaos.Injected()))
+		s.closeStorage()
 		s.fail(nil)
 	}()
 	if opts.ParentSpan != nil {

@@ -176,9 +176,10 @@ func (e *fleetEvent) finish(err error) error {
 		e.b.teardown(err)
 	}
 	res, ferr := e.s.finishRun(Pipelined, e.start, err)
-	// The flush Run performs in its defer: chaos tally and cancel-cause
-	// release for this event's state.
+	// The flush Run performs in its defer: chaos tally, temp pool and
+	// cancel-cause release for this event's state.
 	e.s.faultsCtr.Add(float64(e.s.chaos.Injected()))
+	e.s.closeStorage()
 	e.s.fail(nil)
 	e.res.Result = res
 	// The event is done: drop its run state and graph, memo included, so

@@ -49,8 +49,9 @@ import (
 // versioned through the magic string.
 
 // RunJournalDir is the work-directory subfolder holding run-lifecycle
-// state: the write-ahead journal of a crashed or in-flight run.
-const RunJournalDir = ".smrun"
+// state: the write-ahead journal of a crashed or in-flight run, and the
+// storage workspace's temp pool (storage.Temps) while a run is live.
+const RunJournalDir = storage.RunDir
 
 // runJournalFile is the journal's file name inside RunJournalDir.
 const runJournalFile = "journal"
@@ -59,8 +60,9 @@ const runJournalFile = "journal"
 // The trailing v1 versions the record format.
 const journalMagic = "SMRUN JOURNAL v1"
 
-// staleScratchMaxAge is how old a tmp_* scratch dir or .tmp temp file must
-// be before the non-resume startup sweep removes it: old enough to be
+// staleScratchMaxAge is how old a tmp_* scratch dir, .tmp temp file or
+// private temp directory of the pool must be before the non-resume startup
+// sweep removes it: old enough to be
 // debris from a crashed run, not the live scratch of a concurrent one.
 const staleScratchMaxAge = time.Hour
 
@@ -79,8 +81,8 @@ type ResumeStats struct {
 	// QuarantinesReplayed counts quarantine verdicts restored from the
 	// journal instead of re-discovered through fresh retry storms.
 	QuarantinesReplayed int
-	// ScratchSwept counts the stale tmp_* scratch dirs and .tmp temp files
-	// the startup sweep removed.
+	// ScratchSwept counts the stale tmp_* scratch dirs, .tmp temp files and
+	// temp-pool directories the startup sweep removed.
 	ScratchSwept int
 }
 
@@ -453,17 +455,20 @@ func (s *state) replayQuarantine(q journalQuar) {
 
 // sweepStaleScratch removes the per-instance scratch dirs (tmp_*) and
 // atomic-write temp files (*.tmp) a crashed run left at the work-directory
-// root.  maxAge 0 sweeps unconditionally (resume owns the directory);
-// otherwise only entries whose mtime is older than maxAge go, so a
-// concurrent run's live scratch survives.  Failures count toward the
-// scratch_cleanup_errors counter like every other cleanup problem.
+// root, and the private directories it left in the temp pool, with
+// whatever half-written entries they hold.  maxAge 0 sweeps
+// unconditionally (resume owns the directory); otherwise only entries
+// whose mtime is older than maxAge go, so a concurrent run's live scratch
+// survives.  Failures count toward the scratch_cleanup_errors counter like
+// every other cleanup problem.
 func (s *state) sweepStaleScratch(maxAge time.Duration) int {
+	swept, failed := s.ws.Temps().Sweep(maxAge)
+	s.cleanupErr.Add(float64(failed))
 	entries, err := s.ws.List(s.dir)
 	if err != nil {
-		return 0
+		return swept
 	}
 	cutoff := time.Now().Add(-maxAge)
-	swept := 0
 	for _, e := range entries {
 		name := e.Name()
 		isScratchDir := e.IsDir() && strings.HasPrefix(name, "tmp_")

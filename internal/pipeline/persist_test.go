@@ -321,7 +321,7 @@ func TestWarmRestartRewrittenProductsRestore(t *testing.T) {
 			}
 			coldRef := productHashes(t, dir)
 
-			ws, err := storage.New(backend)
+			ws, err := storage.New(backend, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,6 +340,9 @@ func TestWarmRestartRewrittenProductsRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := ws.Materialize(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := ws.Temps().Close(); err != nil {
 				t.Fatal(err)
 			}
 			if r, err := artifact.Scrub(storage.Disk(), filepath.Join(dir, CacheDirName)); err != nil || !r.Clean() {

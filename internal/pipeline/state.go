@@ -148,7 +148,7 @@ func newState(ctx context.Context, dir string, opts Options) (*state, error) {
 		}
 		s.informat = f
 	}
-	ws, err := storage.New(s.opts.Storage)
+	ws, err := storage.New(s.opts.Storage, dir)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
@@ -167,6 +167,7 @@ func newState(ctx context.Context, dir string, opts Options) (*state, error) {
 			}
 			s.acache, err = artifact.NewActionCache(ws, root, cc.maxBytes(), cc.VerifyOnHit)
 			if err != nil {
+				ws.Temps().Close()
 				return nil, fmt.Errorf("pipeline: %w", err)
 			}
 		}
@@ -197,6 +198,19 @@ func newState(ctx context.Context, dir string, opts Options) (*state, error) {
 		newStateHook(s)
 	}
 	return s, nil
+}
+
+// closeStorage ends the run's use of its workspace, whether the run
+// succeeded, failed or was cancelled: it reports the files and folders the
+// workspace created and removes the workspace's temp pool.
+func (s *state) closeStorage() {
+	t := s.ws.Temps()
+	if o := s.opts.Observer; o != nil {
+		o.Counter("storage_inodes_created_total").Add(float64(t.Created()))
+	}
+	if err := t.Close(); err != nil {
+		s.cleanupErr.Add(1)
+	}
 }
 
 // newStateHook, when set, sees every run state newState creates.  Tests use

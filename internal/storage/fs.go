@@ -2,7 +2,6 @@ package storage
 
 import (
 	"crypto/sha256"
-	"hash"
 	"io"
 	"io/fs"
 	"os"
@@ -10,10 +9,13 @@ import (
 )
 
 // OS is the filesystem-backed Workspace: every operation is the
-// corresponding os call.  It is stateless; the zero value is ready to use.
-type OS struct{}
+// corresponding os call, with new files and folders created through its
+// temp pool (see Temps).  The zero value is ready to use and has no pool,
+// so its temps are siblings of their destinations; New gives a workspace
+// the pool of its work directory.
+type OS struct{ t *Temps }
 
-func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+func (o OS) MkdirAll(path string, perm os.FileMode) error { return o.t.mkdirAll(path, perm) }
 
 // Rename carries the source's memoized content hash to the destination: the
 // bytes are unchanged, only the stat fingerprint (ctime) moved.  Like Link,
@@ -39,17 +41,12 @@ func (OS) RemoveAll(path string) error           { return os.RemoveAll(path) }
 func (OS) Stat(path string) (fs.FileInfo, error) { return os.Stat(path) }
 func (OS) ReadFile(path string) ([]byte, error)  { return os.ReadFile(path) }
 
-// WriteFile lands the bytes in a sibling temp file that is renamed into
-// place, so the destination only ever holds a complete file and an
-// overwrite binds the path to a fresh inode — never truncating an inode the
-// destination may share with a staged hardlink.
-func (OS) WriteFile(path string, data []byte, perm os.FileMode) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, perm); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+// WriteFile lands the bytes in a temp file that is renamed into place, so
+// the destination only ever holds a complete file and an overwrite binds
+// the path to a fresh inode — never truncating an inode the destination
+// may share with a staged hardlink.
+func (o OS) WriteFile(path string, data []byte, perm os.FileMode) error {
+	if err := o.t.writeFile(path, data, perm); err != nil {
 		return err
 	}
 	// The data is in hand: hash it now and seed the memo, so the first
@@ -99,53 +96,16 @@ func (OS) Link(oldpath, newpath string) error {
 func (OS) Open(path string) (io.ReadCloser, error) { return os.Open(path) }
 func (OS) List(dir string) ([]fs.DirEntry, error)  { return os.ReadDir(dir) }
 
-// Create streams to a sibling temp file and renames it into place on Close,
-// hashing the bytes as they pass so the destination's generation memo is
-// seeded without a re-read — the incremental analogue of WriteFile.
-func (OS) Create(path string) (io.WriteCloser, error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &osStreamWriter{f: f, tmp: tmp, path: path, h: sha256.New()}, nil
-}
-
-// osStreamWriter is the io.WriteCloser behind OS.Create.
-type osStreamWriter struct {
-	f    *os.File
-	tmp  string
-	path string
-	h    hash.Hash
-}
-
-func (w *osStreamWriter) Write(p []byte) (int, error) {
-	n, err := w.f.Write(p)
-	w.h.Write(p[:n])
-	return n, err
-}
-
-// Abort discards the write: the temp file is removed and the destination is
-// never touched.  Used by producers that fail mid-stream so a truncated
-// artifact can never be renamed into place.
-func (w *osStreamWriter) Abort() {
-	w.f.Close()
-	os.Remove(w.tmp)
-}
-
-func (w *osStreamWriter) Close() error {
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.tmp)
-		return err
-	}
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		os.Remove(w.tmp)
-		return err
-	}
-	var sum [sha256.Size]byte
-	w.h.Sum(sum[:0])
-	seedHashMemo(w.path, sum)
-	return nil
+// Create streams to a temp file that Close renames into place, hashing the
+// bytes as they pass so the destination's generation memo is seeded
+// without a re-read — the incremental analogue of WriteFile.
+func (o OS) Create(path string) (io.WriteCloser, error) {
+	h := sha256.New()
+	return o.t.create(path, h, func() {
+		var sum [sha256.Size]byte
+		h.Sum(sum[:0])
+		seedHashMemo(path, sum)
+	})
 }
 
 // diskGen is the filesystem content generation: size plus content hash.
@@ -264,5 +224,7 @@ func (OS) Materialize(dir string) error { return nil }
 
 // ResidentBytes is zero: the disk backend holds nothing in memory.
 func (OS) ResidentBytes() (current, peak int64) { return 0, 0 }
+
+func (o OS) Temps() *Temps { return o.t }
 
 var _ Workspace = OS{}

@@ -33,6 +33,7 @@ type Mem struct {
 	seq      uint64
 	resident int64
 	peak     int64
+	t        *Temps
 }
 
 // memFile is one in-memory file.  Aliased (hardlinked) paths share the same
@@ -44,7 +45,8 @@ type memFile struct {
 	seq  uint64
 }
 
-// NewMem returns an empty in-memory workspace.
+// NewMem returns an empty in-memory workspace without a temp pool (see
+// New).
 func NewMem() *Mem {
 	return &Mem{files: make(map[string]*memFile), tombs: make(map[string]bool)}
 }
@@ -58,7 +60,7 @@ func (m *Mem) charge(delta int64) {
 	}
 }
 
-func (m *Mem) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+func (m *Mem) MkdirAll(path string, perm os.FileMode) error { return m.t.mkdirAll(path, perm) }
 
 func (m *Mem) WriteFile(path string, data []byte, perm os.FileMode) error {
 	path = filepath.Clean(path)
@@ -239,49 +241,15 @@ func (m *Mem) Open(path string) (io.ReadCloser, error) {
 // through to the fresh disk file.
 func (m *Mem) Create(path string) (io.WriteCloser, error) {
 	path = filepath.Clean(path)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &memStreamWriter{m: m, f: f, tmp: tmp, path: path}, nil
-}
-
-// memStreamWriter is the io.WriteCloser behind Mem.Create.
-type memStreamWriter struct {
-	m    *Mem
-	f    *os.File
-	tmp  string
-	path string
-}
-
-func (w *memStreamWriter) Write(p []byte) (int, error) { return w.f.Write(p) }
-
-// Abort discards the write: the temp file is removed and the destination —
-// on disk or in memory — is never touched.
-func (w *memStreamWriter) Abort() {
-	w.f.Close()
-	os.Remove(w.tmp)
-}
-
-func (w *memStreamWriter) Close() error {
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.tmp)
-		return err
-	}
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		os.Remove(w.tmp)
-		return err
-	}
-	m := w.m
-	m.mu.Lock()
-	if old, ok := m.files[w.path]; ok {
-		m.charge(-int64(len(old.data)))
-		delete(m.files, w.path)
-	}
-	delete(m.tombs, w.path)
-	m.mu.Unlock()
-	return nil
+	return m.t.create(path, nil, func() {
+		m.mu.Lock()
+		if old, ok := m.files[path]; ok {
+			m.charge(-int64(len(old.data)))
+			delete(m.files, path)
+		}
+		delete(m.tombs, path)
+		m.mu.Unlock()
+	})
 }
 
 func (m *Mem) List(dir string) ([]fs.DirEntry, error) {
@@ -377,7 +345,7 @@ func (m *Mem) Sum(path string) ([sha256.Size]byte, int64, bool) {
 }
 
 // Materialize flushes every in-memory file under dir to real disk (each via
-// write-temp + rename, like the fs backend) and removes shadowed disk files
+// the temp pool, like the fs backend's WriteFile) and removes shadowed disk files
 // the tombstones mark as deleted.  Flushed entries leave memory; the peak
 // resident count is retained.
 func (m *Mem) Materialize(dir string) error {
@@ -389,12 +357,7 @@ func (m *Mem) Materialize(dir string) error {
 		if p != dir && !strings.HasPrefix(p, prefix) {
 			continue
 		}
-		tmp := p + ".tmp"
-		if err := os.WriteFile(tmp, f.data, f.mode); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, p); err != nil {
-			os.Remove(tmp)
+		if err := m.t.writeFile(p, f.data, f.mode); err != nil {
 			return err
 		}
 		m.charge(-int64(len(f.data)))
@@ -411,6 +374,8 @@ func (m *Mem) Materialize(dir string) error {
 	}
 	return nil
 }
+
+func (m *Mem) Temps() *Temps { return m.t }
 
 func (m *Mem) ResidentBytes() (current, peak int64) {
 	m.mu.Lock()

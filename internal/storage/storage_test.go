@@ -36,21 +36,22 @@ func TestParseBackend(t *testing.T) {
 }
 
 func TestNewSelectsBackend(t *testing.T) {
-	ws, err := New(BackendFS)
+	dir := t.TempDir()
+	ws, err := New(BackendFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ws.(OS); !ok {
 		t.Errorf("New(fs) = %T; want storage.OS", ws)
 	}
-	ws, err = New(BackendMem)
+	ws, err = New(BackendMem, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ws.(*Mem); !ok {
 		t.Errorf("New(mem) = %T; want *storage.Mem", ws)
 	}
-	if _, err := New("tape"); err == nil {
+	if _, err := New("tape", dir); err == nil {
 		t.Error("New(tape) succeeded; want error")
 	}
 }

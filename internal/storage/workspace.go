@@ -15,6 +15,12 @@
 //     but file bytes live in memory, shadowing the directory tree, until
 //     Materialize flushes them under a requested subtree.
 //
+// Both backends create every new file and folder through their temp pool
+// (Temps, temps.go): a writer-private directory under
+// <work dir>/.smrun/tmp, from which one rename moves the finished entry
+// into place, so parallel writers never queue on their destination
+// directory's lock while an inode is created there.
+//
 // A third implementation lives in internal/faults: the chaos decorator
 // wraps any Workspace and interposes the fault injector on the seven
 // staging operations, so retry, quarantine, and scratch cleanup behave
@@ -36,6 +42,13 @@ import (
 // lifecycle extensions the backends need: hardlink staging, streamed header
 // peeks, directory listings, cache generations, content sums, and the
 // on-demand flush of in-memory state to real disk.
+//
+// New files and folders are born in the workspace's temp pool (see Temps):
+// WriteFile, Create, Materialize and MkdirAll make each entry inside a
+// writer-private directory under <work dir>/.smrun/tmp and rename it into
+// place, so a listing never shows an unfinished file and a failed write
+// leaves no temp behind.  A workspace without a pool, or a destination on
+// another filesystem, uses the sibling <name>.tmp instead.
 //
 // WriteFile and Create always bind the destination to fresh storage (a new
 // inode on disk, a new *memFile in memory) rather than truncating what it
@@ -71,8 +84,8 @@ type Workspace interface {
 	Open(path string) (io.ReadCloser, error)
 	// Create streams path for incremental writes: the streaming-mode dual of
 	// Open, for producers whose payload must never be resident in full.  The
-	// destination is written atomically — bytes accumulate in a sibling temp
-	// file that only a successful Close renames into place, so path either
+	// destination is written atomically — bytes accumulate in a temp file in
+	// the pool that only a successful Close renames into place, so path either
 	// holds the complete payload or does not exist (load-bearing for the
 	// journal plane: an unfinished streamed product is invisible, and resume
 	// simply re-executes its node).  Every backend streams to real disk;
@@ -100,6 +113,12 @@ type Workspace interface {
 	// held at any point, for the storage_bytes_resident gauges.  Zero on
 	// disk-backed workspaces.
 	ResidentBytes() (current, peak int64)
+	// Temps returns the workspace's temp pool, where every new file and
+	// folder is born before a rename moves it into place: the run's handle
+	// for sweeping a crashed run's pool, counting creations and removing the
+	// pool at teardown.  Nil for a workspace without one, whose temps are
+	// siblings of their destinations.
+	Temps() *Temps
 }
 
 // ErrLinkUnsupported is returned by Link when the backend cannot alias the
@@ -131,14 +150,17 @@ func ParseBackend(name string) (Backend, error) {
 	}
 }
 
-// New returns a fresh Workspace for the backend.  The empty Backend selects
+// New returns a fresh Workspace for the backend, with its temp pool under
+// workDir's RunDir (none for an empty workDir).  The empty Backend selects
 // BackendFS, so a zero-valued options struct keeps today's behavior.
-func New(b Backend) (Workspace, error) {
+func New(b Backend, workDir string) (Workspace, error) {
 	switch b {
 	case "", BackendFS:
-		return OS{}, nil
+		return OS{t: newTemps(workDir)}, nil
 	case BackendMem:
-		return NewMem(), nil
+		m := NewMem()
+		m.t = newTemps(workDir)
+		return m, nil
 	default:
 		return nil, fmt.Errorf("storage: unknown backend %q (want fs or mem)", string(b))
 	}
